@@ -86,6 +86,12 @@ std::vector<std::uint32_t> decode_index_gaps(std::span<const std::uint8_t> bytes
 void decode_index_gaps_into(std::span<const std::uint8_t> bytes,
                             std::size_t count,
                             std::vector<std::uint32_t>& out) {
+  // Every Elias-gamma code takes at least one bit, so a count above the
+  // blob's bit length is malformed; rejecting it first keeps a hostile
+  // count from sizing the reserve() below.
+  if (count > 8 * bytes.size()) {
+    throw std::runtime_error("index gaps: count exceeds the blob's bits");
+  }
   BitReader reader(bytes);
   out.clear();
   out.reserve(count);

@@ -220,6 +220,19 @@ std::vector<float> decompress_floats(std::span<const std::uint8_t> bytes,
   return out;
 }
 
+namespace {
+
+/// Every encoded value takes at least one bit (the first takes 32), so a
+/// count above the blob's bit length is malformed. Both tiers check it
+/// before reserve() so a hostile count cannot size the allocation.
+void check_float_count(std::span<const std::uint8_t> bytes, std::size_t count) {
+  if (count > 8 * bytes.size()) {
+    throw std::runtime_error("float codec: count exceeds the blob's bits");
+  }
+}
+
+}  // namespace
+
 void decompress_floats_into(std::span<const std::uint8_t> bytes,
                             std::size_t count, std::vector<float>& out) {
   if (core::KernelDispatch::fast()) {
@@ -231,6 +244,7 @@ void decompress_floats_into(std::span<const std::uint8_t> bytes,
 
 void decompress_floats_into_fast(std::span<const std::uint8_t> bytes,
                                  std::size_t count, std::vector<float>& out) {
+  check_float_count(bytes, count);
   out.clear();
   if (count == 0) return;
   out.reserve(count);
@@ -239,6 +253,7 @@ void decompress_floats_into_fast(std::span<const std::uint8_t> bytes,
 
 void decompress_floats_into_scalar(std::span<const std::uint8_t> bytes,
                                    std::size_t count, std::vector<float>& out) {
+  check_float_count(bytes, count);
   out.clear();
   if (count == 0) return;
   out.reserve(count);

@@ -81,9 +81,11 @@ class TrafficMeter {
 /// and the per-round byte bookkeeping all still happen inside send() — the
 /// sink only sees messages that survive failure injection.
 ///
-/// Contract: sink callbacks run inside send() on the sending thread; an
-/// installed sink requires single-threaded senders (the event loop is
-/// sequential). deliver() is how the sink eventually lands a message.
+/// Contract: sink callbacks run inside send() on the sending thread, so
+/// parallel senders call the sink concurrently. A sink fed by parallel
+/// senders may touch only per-sender state (sim::BarrierLedger keeps one
+/// slot per sender); the event loop's sink is fed by one thread. deliver()
+/// is how the sink eventually lands a message.
 class DeliverySink {
  public:
   virtual ~DeliverySink() = default;
@@ -131,8 +133,8 @@ class Network {
   const TimeModel& time_model() const noexcept { return time_; }
 
   /// Queues `msg` for `to` and records traffic against msg.sender.
-  /// Thread-safe across concurrent senders (unless a DeliverySink is
-  /// installed, which restricts sends to one thread — see DeliverySink).
+  /// Thread-safe across concurrent senders, provided an installed
+  /// DeliverySink honours its contract (see DeliverySink).
   void send(std::uint32_t to, Message msg);
 
   /// Installs (or clears, with nullptr) the delivery interception hook.

@@ -11,20 +11,6 @@
 
 namespace jwins::sim {
 
-namespace {
-
-/// Times one engine phase, accumulating real seconds into `slot` (the same
-/// bookkeeping the synchronous loop keeps, so wall timings stay comparable).
-template <class Fn>
-void timed_phase(double& slot, Fn&& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  slot += std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-              .count();
-}
-
-}  // namespace
-
 const char* event_kind_name(EventKind kind) {
   switch (kind) {
     case EventKind::kTrainDone: return "train-done";
@@ -102,6 +88,73 @@ double UplinkSerializer::enqueue(const net::TimeModel& time,
   return queued + time.edge_latency(sender, receiver);
 }
 
+// --- BarrierLedger ----------------------------------------------------------
+
+BarrierLedger::BarrierLedger(net::Network& network,
+                             const ExperimentConfig& config)
+    : network_(network),
+      compute_seconds_(config.compute_seconds_per_round),
+      round_start_(network.simulated_seconds()),
+      uplink_(network.size()),
+      sent_(network.size()) {
+  stats_.enabled = true;
+  stats_.extended = config.stop_at_sim_time > 0.0;
+  stats_.staleness_histogram.assign(1, 0);
+  stats_.local_steps.assign(network.size(), 0);
+  network_.set_delivery_sink(this);
+}
+
+BarrierLedger::~BarrierLedger() { network_.set_delivery_sink(nullptr); }
+
+void BarrierLedger::on_deliver(std::uint32_t to, net::Message msg) {
+  // Runs on the sender's lane; only the sender's own slot is touched.
+  sent_[msg.sender].emplace_back(to, msg.wire_size());
+  network_.deliver(to, std::move(msg));
+}
+
+void BarrierLedger::close_round(std::size_t round) {
+  const net::TimeModel& tm = network_.time_model();
+  const auto tag = static_cast<std::uint32_t>(round);
+  const auto n = static_cast<std::uint32_t>(sent_.size());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!tm.node_alive(i, round)) continue;
+    queue_.push(round_start_ + compute_seconds_ * tm.compute_multiplier(i), i,
+                EventKind::kTrainDone, tag);
+  }
+  while (!queue_.empty()) {
+    const Event event = queue_.pop();
+    ++stats_.events_processed;
+    if (event.kind == EventKind::kMessageArrival) {
+      ++stats_.messages_delivered;
+      ++stats_.staleness_histogram[0];
+      continue;
+    }
+    // TrainDone: the node's messages leave its uplink in send order.
+    const std::uint32_t i = event.node;
+    uplink_.reset(i);
+    for (const auto& [to, bytes] : sent_[i]) {
+      queue_.push(event.time + uplink_.enqueue(tm, i, to, bytes), to,
+                  EventKind::kMessageArrival, tag);
+    }
+    sent_[i].clear();
+  }
+  // Every arrival is provably <= the barrier in exact arithmetic; the max()
+  // guards the event-time invariant against one-ulp summation differences.
+  const double barrier =
+      std::max(network_.simulated_seconds(), queue_.last_pop_time());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!tm.node_alive(i, round)) continue;
+    queue_.push(barrier, i, EventKind::kLocalStep, tag);
+  }
+  while (!queue_.empty()) {
+    ++stats_.local_steps[queue_.pop().node];
+    ++stats_.events_processed;
+  }
+  stats_.max_queue_depth = queue_.max_depth();
+  stats_.edge_records_high_water = tm.edge_records_high_water();
+  round_start_ = network_.simulated_seconds();
+}
+
 // --- EventEngine ------------------------------------------------------------
 
 EventEngine::EventEngine(Experiment& experiment)
@@ -112,8 +165,7 @@ EventEngine::EventEngine(Experiment& experiment)
 EventEngine::~EventEngine() { exp_.network_.set_delivery_sink(nullptr); }
 
 bool EventEngine::node_alive(std::uint32_t i, std::size_t round) const {
-  const net::TimeModel& tm = exp_.network_.time_model();
-  return !tm.has_crashes() || tm.node_alive(i, round);
+  return exp_.network_.time_model().node_alive(i, round);
 }
 
 void EventEngine::on_deliver(std::uint32_t to, net::Message msg) {
@@ -126,173 +178,6 @@ void EventEngine::on_deliver(std::uint32_t to, net::Message msg) {
   const std::uint32_t tag = msg.round;
   queue_.push(arrival, to, EventKind::kMessageArrival, tag, std::move(msg));
 }
-
-ExperimentResult EventEngine::run() {
-  const auto run_start = std::chrono::steady_clock::now();
-  const std::size_t n = exp_.nodes_.size();
-  mode_ = exp_.config_.async_mode;
-  stats_.enabled = true;
-  stats_.mode = mode_;
-  stats_.extended = exp_.config_.staleness_bound > 0 ||
-                    exp_.config_.stop_at_sim_time > 0.0 ||
-                    mode_ != AsyncMode::kBarrier;
-  // Barrier runs size the histogram to the gate's window; free/weighted
-  // start at size 1 (age 0) and grow to whatever ages actually occur.
-  stats_.staleness_histogram.assign(exp_.config_.staleness_bound + 1, 0);
-  stats_.local_steps.assign(n, 0);
-  barrier_mode_ =
-      exp_.config_.staleness_bound == 0 && mode_ == AsyncMode::kBarrier;
-  if (!barrier_mode_) {
-    // The event loop never calls finish_round(), so edge records must
-    // retire per transfer or a stop_at_sim_time run accumulates them
-    // forever (the ROADMAP-named leak this engine revision fixes).
-    exp_.network_.enable_transfer_retirement();
-  }
-
-  ExperimentResult result = barrier_mode_ ? run_barrier() : run_event_loop();
-
-  stats_.max_queue_depth = queue_.max_depth();
-  stats_.edge_records_high_water =
-      exp_.network_.time_model().edge_records_high_water();
-  result.event_engine = stats_;
-  exp_.wall_.total_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)
-          .count();
-  result.wall = exp_.wall_;
-  return result;
-}
-
-// --- barrier mode (staleness_bound == 0): the exact sync reduction ----------
-
-ExperimentResult EventEngine::run_barrier() {
-  ExperimentResult result;
-  const ExperimentConfig& cfg = exp_.config_;
-  net::Network& network = exp_.network_;
-  const net::TimeModel& tm = network.time_model();
-  const std::size_t n = exp_.nodes_.size();
-  std::vector<float> train_losses(n, 0.0f);
-
-  for (std::size_t t = 0; t < cfg.rounds; ++t) {
-    const graph::Graph& g = exp_.topology_->round_graph(t);
-    if (g.size() != n) {
-      throw std::logic_error("EventEngine: topology size != node count");
-    }
-    const graph::MixingWeights& weights = exp_.mixing_weights(g, t);
-    const double round_start = network.simulated_seconds();
-
-    // Phase events: every alive node finishes its tau local steps at the
-    // simulated compute time its multiplier implies, then its messages
-    // arrive per-edge. All of round t's events drain before the barrier.
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!node_alive(i, t)) continue;
-      queue_.push(round_start +
-                      cfg.compute_seconds_per_round * tm.compute_multiplier(i),
-                  i, EventKind::kTrainDone, static_cast<std::uint32_t>(t));
-    }
-    while (!queue_.empty()) {
-      Event event = queue_.pop();
-      ++stats_.events_processed;
-      if (event.kind == EventKind::kTrainDone) {
-        const std::uint32_t i = event.node;
-        timed_phase(exp_.wall_.train_seconds, [&] {
-          train_losses[i] = exp_.nodes_[i]->local_train();
-        });
-        uplink_.reset(i);
-        share_time_ = event.time;
-        timed_phase(exp_.wall_.share_seconds, [&] {
-          exp_.nodes_[i]->share(network, g, weights, event.round,
-                                exp_.scratch_[0]);
-        });
-      } else {  // kMessageArrival (no LocalStep is queued yet)
-        ++stats_.messages_delivered;
-        ++stats_.staleness_histogram[0];
-        network.deliver(event.node, std::move(event.message));
-      }
-    }
-
-    // The barrier: the same finish_round() call — and therefore the same
-    // clock doubles, in the same addition order — as the synchronous loop.
-    network.finish_round(cfg.compute_seconds_per_round);
-
-    // Every arrival above is provably <= the barrier in exact arithmetic;
-    // the max() guards the event-time invariant against the one-ulp
-    // differences the two summation orders can produce.
-    const double barrier =
-        std::max(network.simulated_seconds(), queue_.last_pop_time());
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!node_alive(i, t)) continue;
-      queue_.push(barrier, i, EventKind::kLocalStep,
-                  static_cast<std::uint32_t>(t));
-    }
-    while (!queue_.empty()) {
-      const Event event = queue_.pop();
-      ++stats_.events_processed;
-      const std::uint32_t i = event.node;
-      timed_phase(exp_.wall_.aggregate_seconds, [&] {
-        exp_.nodes_[i]->aggregate(network, g, weights, event.round,
-                                  exp_.scratch_[0]);
-      });
-      ++stats_.local_steps[i];
-    }
-    result.rounds_run = t + 1;
-
-    // Round-boundary bookkeeping, operation for operation the synchronous
-    // loop's: learning-rate decay over ALL nodes, JWINS alpha over alive
-    // nodes in rank order, then the evaluation/stop block.
-    if (cfg.lr_decay_every > 0 && (t + 1) % cfg.lr_decay_every == 0) {
-      for (auto& node : exp_.nodes_) {
-        node->set_learning_rate(
-            static_cast<float>(node->learning_rate() * cfg.lr_decay_factor));
-      }
-    }
-    if (cfg.algorithm == Algorithm::kJwins) {
-      if (exp_.eval_sample_active()) {
-        for (const std::uint32_t i : exp_.eval_subset(t + 1)) {
-          if (!node_alive(i, t)) continue;
-          exp_.alpha_sum_ +=
-              static_cast<algo::JwinsNode&>(*exp_.nodes_[i]).last_alpha();
-          ++exp_.alpha_samples_;
-        }
-      } else {
-        for (std::uint32_t i = 0; i < n; ++i) {
-          if (!node_alive(i, t)) continue;
-          exp_.alpha_sum_ +=
-              static_cast<algo::JwinsNode&>(*exp_.nodes_[i]).last_alpha();
-          ++exp_.alpha_samples_;
-        }
-      }
-    }
-
-    const bool budget_hit =
-        cfg.stop_at_sim_time > 0.0 &&
-        network.simulated_seconds() >= cfg.stop_at_sim_time;
-    const bool last_round = (t + 1 == cfg.rounds) || budget_hit;
-    if (t % cfg.eval_every == 0 || last_round) {
-      // Same sampled-population rule as the sync loop: under eval_sample the
-      // mean divides by the subset size, not n.
-      const double mean_train_loss = Experiment::mean_loss_over(
-          train_losses,
-          exp_.eval_sample_active()
-              ? std::span<const std::uint32_t>(exp_.eval_subset(t + 1))
-              : std::span<const std::uint32_t>{},
-          [&](std::size_t i) {
-            return node_alive(static_cast<std::uint32_t>(i), t);
-          });
-      const MetricPoint point = exp_.evaluate(t + 1, mean_train_loss);
-      result.series.push_back(point);
-      if (cfg.target_accuracy > 0.0 &&
-          point.test_accuracy >= cfg.target_accuracy) {
-        result.reached_target = true;
-        break;
-      }
-    }
-    if (budget_hit) break;
-  }
-  exp_.collect_summary(result);
-  return result;
-}
-
-// --- bounded-staleness mode (staleness_bound > 0) ---------------------------
 
 const EventEngine::RoundTopo& EventEngine::topo(std::size_t round) {
   auto it = topo_cache_.find(round);
@@ -379,14 +264,14 @@ void EventEngine::unblock_ready(double now) {
 
 void EventEngine::process_train_done(const Event& event) {
   const std::uint32_t i = event.node;
-  timed_phase(exp_.wall_.train_seconds, [&] {
+  Experiment::timed_phase(exp_.wall_.train_seconds, [&] {
     train_losses_[i] = exp_.nodes_[i]->local_train();
   });
   trained_[i] = true;
   const RoundTopo& tp = topo(round_[i]);
   uplink_.reset(i);
   share_time_ = event.time;
-  timed_phase(exp_.wall_.share_seconds, [&] {
+  Experiment::timed_phase(exp_.wall_.share_seconds, [&] {
     exp_.nodes_[i]->share(exp_.network_, tp.graph, tp.weights, round_[i],
                           exp_.scratch_[0]);
   });
@@ -477,7 +362,7 @@ void EventEngine::process_local_step(const Event& event,
       ++stats_.effective_neighbors[applied];
     }
     const RoundTopo& tp = topo(r);
-    timed_phase(exp_.wall_.aggregate_seconds, [&] {
+    Experiment::timed_phase(exp_.wall_.aggregate_seconds, [&] {
       exp_.nodes_[i]->aggregate(exp_.network_, tp.graph, tp.weights, r,
                                 exp_.scratch_[0]);
     });
@@ -516,11 +401,7 @@ bool EventEngine::maybe_evaluate(ExperimentResult& result) {
     // next_eval_round_ (mirroring the sync schedule t = 0, eval_every, ...).
     if (min_completed < next_eval_round_ + 1) return false;
     const double mean_train_loss = Experiment::mean_loss_over(
-        train_losses_,
-        exp_.eval_sample_active()
-            ? std::span<const std::uint32_t>(
-                  exp_.eval_subset(next_eval_round_ + 1))
-            : std::span<const std::uint32_t>{},
+        train_losses_, exp_.metric_population(next_eval_round_ + 1),
         [&](std::size_t i) { return static_cast<bool>(trained_[i]); });
     // evaluate() reads the Network clock, which the event loop advances at
     // event granularity (advance_time): sim_seconds is the time of the
@@ -539,10 +420,22 @@ bool EventEngine::maybe_evaluate(ExperimentResult& result) {
   return false;
 }
 
-ExperimentResult EventEngine::run_event_loop() {
+ExperimentResult EventEngine::run() {
+  const auto run_start = std::chrono::steady_clock::now();
   ExperimentResult result;
   const ExperimentConfig& cfg = exp_.config_;
   const std::size_t n = exp_.nodes_.size();
+  mode_ = cfg.async_mode;
+  stats_.enabled = true;
+  stats_.extended = true;  // every run that gets here is genuinely async
+  stats_.mode = mode_;
+  // Barrier runs size the histogram to the gate's window; free/weighted
+  // start at size 1 (age 0) and grow to whatever ages actually occur.
+  stats_.staleness_histogram.assign(cfg.staleness_bound + 1, 0);
+  stats_.local_steps.assign(n, 0);
+  // The event loop never calls finish_round(), so edge records must retire
+  // per transfer or a stop_at_sim_time run accumulates them forever.
+  exp_.network_.enable_transfer_retirement();
   round_.assign(n, 0);
   round_start_.assign(n, 0.0);
   blocked_.assign(n, false);
@@ -631,11 +524,7 @@ ExperimentResult EventEngine::run_event_loop() {
   if (result.series.empty() ||
       result.series.back().round < result.rounds_run) {
     const double mean_train_loss = Experiment::mean_loss_over(
-        train_losses_,
-        exp_.eval_sample_active()
-            ? std::span<const std::uint32_t>(
-                  exp_.eval_subset(result.rounds_run))
-            : std::span<const std::uint32_t>{},
+        train_losses_, exp_.metric_population(result.rounds_run),
         [&](std::size_t i) { return static_cast<bool>(trained_[i]); });
     // The Network clock stands at the last processed event (advance_time),
     // so the final point's sim_seconds and its compute/comm split need no
@@ -644,9 +533,15 @@ ExperimentResult EventEngine::run_event_loop() {
     result.series.push_back(point);
   }
   exp_.collect_summary(result);
+  stats_.max_queue_depth = queue_.max_depth();
+  stats_.edge_records_high_water =
+      exp_.network_.time_model().edge_records_high_water();
+  result.event_engine = stats_;
+  exp_.wall_.total_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)
+          .count();
+  result.wall = exp_.wall_;
   return result;
 }
-
-ExperimentResult Experiment::run_async() { return EventEngine(*this).run(); }
 
 }  // namespace jwins::sim

@@ -21,12 +21,13 @@
 // a pure function of the experiment seed: runs replay bit-identically.
 //
 // Reduction guarantee (the golden-tested contract): with staleness_bound ==
-// 0 the engine runs in *barrier mode* — real events fire at their simulated
-// times, but every node's LocalStep waits for the global round barrier, and
-// the round clock advances through the very same Network::finish_round()
-// call the synchronous loop makes. Every model byte, metric point, and
-// result-JSON byte is then identical to EngineKind::kSync, under ANY
-// TimeModel (flat or heterogeneous, with or without fault injection).
+// 0 and async_mode = barrier every node's LocalStep waits for the global
+// round barrier, so the schedule collapses to the synchronous round. Such
+// *barrier-mode* runs therefore execute Experiment::run()'s synchronous
+// loop itself, and a BarrierLedger derives the event counters the schedule
+// would have produced. Every model byte, metric point, and result-JSON byte
+// is identical to EngineKind::kSync, under ANY TimeModel (flat or
+// heterogeneous, with or without fault injection), at any thread count.
 // With staleness_bound B > 0 nodes genuinely desynchronize: a node may run
 // up to B rounds ahead of its slowest expected neighbor, messages more than
 // B rounds stale are discarded (counted), and quiescence detection
@@ -37,6 +38,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -116,6 +118,43 @@ class UplinkSerializer {
   std::vector<double> queued_;
 };
 
+/// Event counters of a barrier-mode run (staleness_bound == 0, async_mode =
+/// barrier), which executes the synchronous round loop. Installed as the
+/// Network's DeliverySink, it records each surviving message's (receiver,
+/// wire bytes) in its sender's own slot — so parallel senders never share
+/// state — and forwards the message to Network::deliver. After each
+/// round's finish_round(), close_round() replays the round's timestamps
+/// through an EventQueue and UplinkSerializer: TrainDone at the round start
+/// plus each alive node's compute time, each message's arrival at its
+/// sender's TrainDone plus the uplink offset, and every alive node's
+/// LocalStep at the barrier. The replay reproduces the counters of an
+/// event-by-event execution exactly, max_queue_depth included.
+class BarrierLedger : private net::DeliverySink {
+ public:
+  BarrierLedger(net::Network& network, const ExperimentConfig& config);
+  ~BarrierLedger() override;
+
+  BarrierLedger(const BarrierLedger&) = delete;
+  BarrierLedger& operator=(const BarrierLedger&) = delete;
+
+  /// Replays round `round`; call right after its Network::finish_round().
+  void close_round(std::size_t round);
+  const EventEngineStats& stats() const noexcept { return stats_; }
+
+ private:
+  void on_deliver(std::uint32_t to, net::Message msg) override;
+
+  net::Network& network_;
+  double compute_seconds_;
+  double round_start_;  ///< simulated clock when the open round began
+  EventQueue queue_;
+  UplinkSerializer uplink_;
+  EventEngineStats stats_;
+  /// sent_[s]: (receiver, wire bytes) of s's surviving messages this round,
+  /// in send order.
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>> sent_;
+};
+
 /// The driver: owns the queue and the per-node asynchrony state, borrows
 /// everything else (nodes, network, evaluation) from the Experiment that
 /// constructed it. Single-threaded by design — determinism comes from the
@@ -129,19 +168,16 @@ class EventEngine : private net::DeliverySink {
   EventEngine(const EventEngine&) = delete;
   EventEngine& operator=(const EventEngine&) = delete;
 
+  /// The genuine event loop: bounded-staleness barrier aggregation
+  /// (async_mode = barrier, staleness_bound > 0) and the gate-free
+  /// free/weighted modes. Barrier mode with B == 0 never gets here: it is
+  /// the synchronous loop (see BarrierLedger).
   ExperimentResult run();
 
  private:
   // net::DeliverySink: called inside Network::send for every message that
   // survives failure injection, while some node's share() is running.
   void on_deliver(std::uint32_t to, net::Message msg) override;
-
-  ExperimentResult run_barrier();
-  /// The genuine event loop: bounded-staleness barrier aggregation
-  /// (async_mode = barrier, staleness_bound > 0) and the gate-free
-  /// free/weighted modes all run here; only the exact sync reduction
-  /// (barrier with B == 0) takes run_barrier().
-  ExperimentResult run_event_loop();
 
   // --- bounded-staleness helpers -----------------------------------------
   struct RoundTopo {
@@ -180,9 +216,6 @@ class EventEngine : private net::DeliverySink {
   /// Share-context: while a node's share() runs, its messages' arrival
   /// times are share_time_ + uplink + latency.
   double share_time_ = 0.0;
-  /// Barrier mode routes arrivals straight to the Network mailbox; bounded
-  /// mode stages them in inbox_ under the staleness rule.
-  bool barrier_mode_ = true;
   /// Aggregation discipline (config mirror): kBarrier gates on the
   /// staleness bound; kFree/kWeighted never gate and apply every arrival.
   AsyncMode mode_ = AsyncMode::kBarrier;
@@ -191,7 +224,7 @@ class EventEngine : private net::DeliverySink {
   /// as communication otherwise (docs/SIMULATION.md "Phase attribution").
   std::size_t training_count_ = 0;
 
-  // Per-node asynchrony state (bounded mode).
+  // Per-node asynchrony state.
   std::vector<std::uint32_t> round_;        ///< current local round
   std::vector<double> round_start_;         ///< when that round began
   std::vector<bool> blocked_;               ///< gated at its staleness bound

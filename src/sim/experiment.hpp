@@ -18,6 +18,7 @@
 // examples/quickstart.cpp.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -59,10 +60,13 @@ const char* algorithm_name(Algorithm algorithm);
 ///  * kAsync — the discrete-event scheduler (sim/event_engine.hpp): nodes
 ///    are state machines advanced by TrainDone / MessageArrival / LocalStep
 ///    events, messages arrive when their link says they arrive, and slow
-///    nodes genuinely fall behind. With `staleness_bound == 0` (barrier
-///    mode) it reduces EXACTLY — byte-for-byte result JSON — to kSync under
-///    any TimeModel; a bound B > 0 lets a node run up to B rounds ahead of
-///    its neighbors (docs/SIMULATION.md "Asynchronous engine").
+///    nodes genuinely fall behind. A bound B > 0 lets a node run up to B
+///    rounds ahead of its neighbors (docs/SIMULATION.md "Asynchronous
+///    engine"). With `staleness_bound == 0` and async_mode = barrier
+///    (barrier mode) the schedule collapses to the synchronous round, so
+///    such runs execute the kSync loop itself — byte-for-byte the same
+///    result JSON under any TimeModel — and a sim::BarrierLedger derives
+///    the event counters.
 enum class EngineKind { kSync, kAsync };
 
 const char* engine_name(EngineKind kind);
@@ -88,15 +92,18 @@ enum class AsyncMode { kBarrier, kFree, kWeighted };
 
 const char* async_mode_name(AsyncMode mode);
 
-/// Per-node state layout of the synchronous engine:
+/// Per-node state layout of the synchronous engine. Both layouts run the
+/// same round loop (Experiment::run); they differ only in the bodies of
+/// its per-node phases:
 ///
 ///  * kFull — one DlNode object per simulated node (model, optimizer,
-///    sampler). The reference layout; every pre-existing result was
-///    produced under it.
+///    sampler), driven through separate train, share and aggregate phases.
+///    The reference layout; every pre-existing result was produced under it.
 ///  * kCompact — the 100k–1M-node memory diet: node state is a shared
 ///    read-only base parameter vector plus a lazily-materialized per-node
 ///    slot (sim::NodeStateStore), driven through one lane-worker DlNode per
-///    execution lane. Requires the counter batch sampler (rebindable
+///    execution lane in a fused bind -> train+share -> write-back pass and
+///    an aggregate pass. Requires the counter batch sampler (rebindable
 ///    streams) and a stateless-node algorithm; with both, results are
 ///    byte-identical to kFull at any thread count.
 enum class NodeState { kFull, kCompact };
@@ -285,9 +292,10 @@ struct SimTimeBreakdown {
 /// Counters of one asynchronous-engine run (sim/event_engine.hpp).
 /// `enabled` is true whenever the run used EngineKind::kAsync; `extended`
 /// additionally gates the "event_engine" result-JSON block — it is set only
-/// when the run configured genuine asynchrony (staleness_bound > 0) or a
-/// simulated-time budget, so barrier-mode runs keep their JSON byte-identical
-/// to the synchronous engine (the golden-reduction guarantee).
+/// when the run configured genuine asynchrony (staleness_bound > 0 or a
+/// free/weighted mode) or a simulated-time budget, so barrier-mode runs keep
+/// their JSON byte-identical to the synchronous engine (the golden-reduction
+/// guarantee).
 struct EventEngineStats {
   bool enabled = false;
   bool extended = false;
@@ -413,11 +421,17 @@ class Experiment {
   /// network, and evaluation machinery this class owns.
   friend class EventEngine;
 
+  /// Times one engine phase, accumulating real seconds into `slot`.
+  template <class Fn>
+  static void timed_phase(double& slot, Fn&& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    slot += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count();
+  }
+
   MetricPoint evaluate(std::size_t round, double train_loss);
-  /// Asynchronous-engine entry point (implemented in event_engine.cpp).
-  ExperimentResult run_async();
-  /// Compact node-state round loop (NodeState::kCompact).
-  ExperimentResult run_compact();
   /// Shared end-of-run bookkeeping: final metrics, traffic totals, and the
   /// sim_time summary (identical operations under both engines).
   void collect_summary(ExperimentResult& result);
@@ -428,8 +442,10 @@ class Experiment {
   bool eval_sample_active() const noexcept {
     return config_.eval_sample > 0 && config_.eval_sample < n_;
   }
-  /// The (cached) subset for one metric round; only called when active.
-  const std::vector<std::uint32_t>& eval_subset(std::size_t metric_round);
+  /// The nodes metric round `metric_round` reduces over (train loss, JWINS
+  /// alpha, evaluation): the cached seeded subset under eval_sample, empty
+  /// (= every node) otherwise.
+  std::span<const std::uint32_t> metric_population(std::size_t metric_round);
   /// Metropolis-Hastings weights of round t, cached per topology epoch so
   /// static/slow-churn topologies stop recomputing O(n) weights every round.
   const graph::MixingWeights& mixing_weights(const graph::Graph& g,

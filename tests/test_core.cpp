@@ -5,9 +5,11 @@
 
 #include "core/averaging.hpp"
 #include "core/cutoff.hpp"
+#include "core/kernel_dispatch.hpp"
 #include "core/ranker.hpp"
 #include "core/sparse_payload.hpp"
 #include "compress/topk.hpp"
+#include "net/serializer.hpp"
 
 namespace jwins::core {
 namespace {
@@ -251,6 +253,37 @@ TEST(Payload, TruncatedBodyThrows) {
   const auto encoded = encode_payload(payload, {});
   std::vector<std::uint8_t> cut(encoded.body.begin(), encoded.body.end() - 3);
   EXPECT_THROW(decode_payload(cut), std::exception);
+}
+
+/// A 15-byte body claiming 0xFFFFFFF0 entries in a 1-byte blob.
+std::vector<std::uint8_t> oversized_count_body(IndexEncoding index_mode) {
+  net::ByteWriter writer;
+  writer.write_u8(static_cast<std::uint8_t>(index_mode));
+  writer.write_u8(static_cast<std::uint8_t>(ValueEncoding::kXorCodec));
+  writer.write_u32(0xFFFFFFF0u);  // vector_length (dense requires == count)
+  writer.write_u32(0xFFFFFFF0u);  // count
+  const std::uint8_t blob[] = {0xFF};
+  writer.write_bytes(blob);
+  return std::move(writer).take();
+}
+
+TEST(Payload, OversizedCountThrowsBeforeAllocatingOnBothTiers) {
+  // No valid stream has more entries than its blob has bits, so both the
+  // Elias-gamma index blob and the dense XOR-codec value blob must reject
+  // the count cleanly instead of reserving ~16 GiB.
+  for (const KernelTier tier : {KernelTier::kScalar, KernelTier::kFast}) {
+    KernelDispatch::ScopedForce forced(tier);
+    for (const IndexEncoding mode :
+         {IndexEncoding::kEliasGamma, IndexEncoding::kDense}) {
+      const std::vector<std::uint8_t> body = oversized_count_body(mode);
+      ASSERT_EQ(body.size(), 15u);
+      SparsePayload out;
+      Arena arena;
+      EXPECT_THROW(decode_payload_into(body, out, arena), std::runtime_error)
+          << "index mode " << static_cast<int>(mode) << ", tier "
+          << static_cast<int>(tier);
+    }
+  }
 }
 
 TEST(Payload, MakeMessageWiresAccounting) {

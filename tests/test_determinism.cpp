@@ -80,6 +80,27 @@ void expect_bit_identical(const sim::ExperimentResult& a,
   EXPECT_EQ(a.mean_alpha, b.mean_alpha);
 }
 
+/// Every EventEngineStats field. The result JSON leaves the event_engine
+/// block out of barrier runs, so the counters are compared directly.
+void expect_same_event_stats(const sim::EventEngineStats& a,
+                             const sim::EventEngineStats& b) {
+  EXPECT_EQ(a.enabled, b.enabled);
+  EXPECT_EQ(a.extended, b.extended);
+  EXPECT_EQ(a.mode, b.mode);
+  EXPECT_EQ(a.events_processed, b.events_processed);
+  EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
+  EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+  EXPECT_EQ(a.messages_in_flight, b.messages_in_flight);
+  EXPECT_EQ(a.messages_stale_dropped, b.messages_stale_dropped);
+  EXPECT_EQ(a.staleness_overrides, b.staleness_overrides);
+  EXPECT_EQ(a.staleness_histogram, b.staleness_histogram);
+  EXPECT_EQ(a.effective_neighbors, b.effective_neighbors);
+  EXPECT_EQ(a.contribution_age_sum, b.contribution_age_sum);
+  EXPECT_EQ(a.contributions_applied, b.contributions_applied);
+  EXPECT_EQ(a.edge_records_high_water, b.edge_records_high_water);
+  EXPECT_EQ(a.local_steps, b.local_steps);
+}
+
 class DeterminismAcrossThreads : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(DeterminismAcrossThreads, ThreadedMatchesSequentialBitForBit) {
@@ -108,12 +129,14 @@ TEST_P(DeterminismAcrossThreads, AsyncBarrierMatchesSyncByteForByte) {
 }
 
 TEST_P(DeterminismAcrossThreads, AsyncThreadedMatchesSequential) {
-  // The event loop itself is single-threaded; evaluation still uses the
-  // pool. threads=N must stay bit-identical to threads=1 under kAsync.
+  // Barrier runs execute the pooled round loop, with parallel senders
+  // feeding the event-counter ledger; threads=N must stay bit-identical to
+  // threads=1 under kAsync, event counters included.
   const Scenario& s = GetParam();
   const auto sequential = run_scenario(s, 1, sim::EngineKind::kAsync);
   const auto threaded = run_scenario(s, 4, sim::EngineKind::kAsync);
   expect_bit_identical(sequential, threaded, "async threads=1 vs threads=4");
+  expect_same_event_stats(sequential.event_engine, threaded.event_engine);
   std::ostringstream a, b;
   sim::write_result_json(a, "determinism/async", sequential,
                          /*include_wall=*/false);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <random>
 
 #include "dwt/wavelet.hpp"
@@ -108,6 +109,13 @@ struct PlanCase {
   std::size_t length;
   std::size_t levels;
 };
+
+// Print cases by value: gtest's default would dump the bytes of the `wavelet`
+// pointer, which change with every run, and test discovery names each case
+// after this printout.
+void PrintTo(const PlanCase& c, std::ostream* os) {
+  *os << c.wavelet << "_" << c.length << "_" << c.levels;
+}
 
 class DwtPlanParam : public ::testing::TestWithParam<PlanCase> {};
 

@@ -377,7 +377,8 @@ TEST(EventEngineBarrier, MatchesSyncWithPermanentCrash) {
   expect_golden_reduction(cfg, 4);
 }
 
-TEST(EventEngineBarrier, MatchesSyncWithEverythingAtOnce) {
+/// Every fault/heterogeneity family at once (6 nodes).
+ExperimentConfig everything_at_once_config() {
   ExperimentConfig cfg = mini_config(12);
   cfg.eval_every = 3;
   cfg.lr_decay_every = 4;
@@ -390,13 +391,23 @@ TEST(EventEngineBarrier, MatchesSyncWithEverythingAtOnce) {
   cfg.time.crash_nodes = 1;
   cfg.time.crash_at = 4;
   cfg.time.rejoin_at = 8;
-  expect_golden_reduction(cfg, 6);
+  return cfg;
 }
 
-TEST(EventEngineBarrier, MatchesSyncWithSimTimeBudget) {
+/// A simulated-time budget that cuts a 50-round run early (4 nodes).
+ExperimentConfig sim_time_budget_config() {
   ExperimentConfig cfg = mini_config(50);
   cfg.eval_every = 5;
   cfg.stop_at_sim_time = 0.4;  // cuts the run well before 50 rounds
+  return cfg;
+}
+
+TEST(EventEngineBarrier, MatchesSyncWithEverythingAtOnce) {
+  expect_golden_reduction(everything_at_once_config(), 6);
+}
+
+TEST(EventEngineBarrier, MatchesSyncWithSimTimeBudget) {
+  ExperimentConfig cfg = sim_time_budget_config();
   cfg.engine = EngineKind::kSync;
   auto sync = make_mini(cfg, 4);
   const ExperimentResult rs = sync->run();
@@ -438,6 +449,90 @@ TEST(EventEngineBarrier, StatsAndConservation) {
   ASSERT_EQ(ee.local_steps.size(), 4u);
   EXPECT_EQ(ee.local_steps_min(), 5u);
   EXPECT_EQ(ee.local_steps_max(), 5u);
+}
+
+/// Barrier-mode event counters pinned to recorded values: every
+/// EventEngineStats field plus the emitted JSON (the block is present only
+/// for the budget run, which is "extended").
+struct PinnedBarrierStats {
+  std::uint64_t events_processed;
+  std::size_t max_queue_depth;
+  std::uint64_t messages_delivered;
+  std::vector<std::uint64_t> local_steps;
+};
+
+void expect_pinned_barrier_stats(ExperimentConfig cfg, std::size_t n,
+                                 const PinnedBarrierStats& want,
+                                 const std::string& json_block,
+                                 std::size_t degree = 2) {
+  cfg.engine = EngineKind::kAsync;
+  auto exp = make_mini(cfg, n, degree);
+  const ExperimentResult r = exp->run();
+  const EventEngineStats& ee = r.event_engine;
+  EXPECT_TRUE(ee.enabled);
+  EXPECT_EQ(ee.extended, cfg.stop_at_sim_time > 0.0);
+  EXPECT_EQ(ee.mode, AsyncMode::kBarrier);
+  EXPECT_EQ(ee.events_processed, want.events_processed);
+  EXPECT_EQ(ee.max_queue_depth, want.max_queue_depth);
+  EXPECT_EQ(ee.messages_delivered, want.messages_delivered);
+  EXPECT_EQ(ee.messages_in_flight, 0u);
+  EXPECT_EQ(ee.messages_stale_dropped, 0u);
+  EXPECT_EQ(ee.staleness_overrides, 0u);
+  EXPECT_EQ(ee.staleness_histogram,
+            std::vector<std::uint64_t>{want.messages_delivered});
+  EXPECT_TRUE(ee.effective_neighbors.empty());
+  EXPECT_EQ(ee.contribution_age_sum, 0u);
+  EXPECT_EQ(ee.contributions_applied, 0u);
+  EXPECT_EQ(ee.edge_records_high_water, 0u);
+  EXPECT_EQ(ee.local_steps, want.local_steps);
+  const std::string json = json_of(r);
+  if (json_block.empty()) {
+    EXPECT_EQ(json.find("\"event_engine\""), std::string::npos);
+  } else {
+    EXPECT_NE(json.find(json_block), std::string::npos) << json;
+  }
+}
+
+TEST(EventEngineBarrier, PinnedStatsOnFlatModel) {
+  expect_pinned_barrier_stats(mini_config(6), 4,
+                              {96, 8, 48, {6, 6, 6, 6}}, "");
+}
+
+TEST(EventEngineBarrier, PinnedStatsWithEverythingAtOnce) {
+  expect_pinned_barrier_stats(everything_at_once_config(), 6,
+                              {245, 10, 109, {12, 12, 12, 8, 12, 12}}, "");
+}
+
+TEST(EventEngineBarrier, PinnedStatsWithSimTimeBudget) {
+  expect_pinned_barrier_stats(sim_time_budget_config(), 4,
+                              {128, 8, 64, {8, 8, 8, 8}},
+                              "  \"event_engine\": {\n"
+                              "    \"async_mode\": \"barrier\",\n"
+                              "    \"events_processed\": 128,\n"
+                              "    \"max_queue_depth\": 8,\n"
+                              "    \"messages_delivered\": 64,\n"
+                              "    \"messages_in_flight\": 0,\n"
+                              "    \"messages_stale_dropped\": 0,\n"
+                              "    \"staleness_overrides\": 0,\n"
+                              "    \"staleness_histogram\": [64],\n"
+                              "    \"edge_records_high_water\": 0,\n"
+                              "    \"local_steps\": {\"min\": 8, \"max\": 8, "
+                              "\"mean\": 8}\n"
+                              "  },\n");
+}
+
+TEST(EventEngineBarrier, PinnedStatsWithSlowUplinks) {
+  // Transfers as long as the compute phase, 4 messages per sender and
+  // stragglers that finish while arrivals are still queued: the peak
+  // queue depth depends on each sender's uplink serialization.
+  ExperimentConfig cfg = mini_config(6);
+  cfg.time.bandwidth_dist = {net::LinkDist::Kind::kUniform, 1e3, 1e4};
+  cfg.time.latency_dist = {net::LinkDist::Kind::kUniform, 0.001, 0.030};
+  cfg.time.straggler_fraction = 0.3;
+  cfg.time.straggler_slowdown = 1.2;
+  expect_pinned_barrier_stats(
+      cfg, 8, {288, 32, 192, std::vector<std::uint64_t>(8, 6)}, "",
+      /*degree=*/4);
 }
 
 TEST(EventEngineBarrier, TargetAccuracyStopMatchesSync) {

@@ -48,13 +48,6 @@ std::uint64_t elias_delta_decode(BitReader& reader) {
   return value;
 }
 
-std::vector<std::uint8_t> encode_index_gaps(
-    std::span<const std::uint32_t> sorted_indices) {
-  BitWriter writer;
-  encode_index_gaps(sorted_indices, writer);
-  return std::move(writer).finish();
-}
-
 void encode_index_gaps(std::span<const std::uint32_t> sorted_indices,
                        BitWriter& writer) {
   std::uint32_t prev = 0;
@@ -74,13 +67,6 @@ void encode_index_gaps(std::span<const std::uint32_t> sorted_indices,
     elias_gamma_encode(writer, gap);
     prev = idx;
   }
-}
-
-std::vector<std::uint32_t> decode_index_gaps(std::span<const std::uint8_t> bytes,
-                                             std::size_t count) {
-  std::vector<std::uint32_t> indices;
-  decode_index_gaps_into(bytes, count, indices);
-  return indices;
 }
 
 void decode_index_gaps_into(std::span<const std::uint8_t> bytes,

@@ -187,12 +187,6 @@ void decode_stream_fast(std::span<const std::uint8_t> bytes, std::size_t count,
 
 }  // namespace
 
-std::vector<std::uint8_t> compress_floats(std::span<const float> values) {
-  BitWriter writer;
-  compress_floats(values, writer);
-  return std::move(writer).finish();
-}
-
 void compress_floats(std::span<const float> values, BitWriter& writer) {
   if (core::KernelDispatch::fast()) {
     encode_stream_fast(values, writer);
@@ -211,13 +205,6 @@ void compress_floats_fast(std::span<const float> values, BitWriter& writer) {
 
 std::size_t compressed_floats_size(std::span<const float> values) {
   return (encode_stream(values, nullptr) + 7) / 8;
-}
-
-std::vector<float> decompress_floats(std::span<const std::uint8_t> bytes,
-                                     std::size_t count) {
-  std::vector<float> out;
-  decompress_floats_into(bytes, count, out);
-  return out;
 }
 
 namespace {

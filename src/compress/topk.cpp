@@ -40,13 +40,6 @@ constexpr std::size_t kBucketSelectMinN = 4096;
 
 }  // namespace
 
-std::vector<std::uint32_t> topk_indices(std::span<const float> values,
-                                        std::size_t k) {
-  std::vector<std::uint32_t> order;
-  topk_indices_into(values, k, order);
-  return order;
-}
-
 void topk_indices_into_scalar(std::span<const float> values, std::size_t k,
                               std::vector<std::uint32_t>& out) {
   const std::size_t n = values.size();
@@ -63,8 +56,13 @@ void topk_indices_into_scalar(std::span<const float> values, std::size_t k,
   std::sort(out.begin(), out.end());
 }
 
-void topk_indices_into_fast(std::span<const float> values, std::size_t k,
-                            std::vector<std::uint32_t>& out) {
+// Starts on a cache-line (64-byte) boundary so the position of its loops
+// relative to instruction-fetch blocks does not move when unrelated code
+// linked before it changes size: a 16-byte shift measured ~10% slower on a
+// Xeon host.
+[[gnu::aligned(64)]] void topk_indices_into_fast(
+    std::span<const float> values, std::size_t k,
+    std::vector<std::uint32_t>& out) {
   const std::size_t n = values.size();
   if (k >= n) {
     out.resize(n);
@@ -133,9 +131,9 @@ void topk_indices_into(std::span<const float> values, std::size_t k,
 
 namespace {
 
-template <class Flags>
 void floyd_sample(std::size_t n, std::size_t k, std::uint64_t seed,
-                  std::vector<std::uint32_t>& out, Flags&& in_set) {
+                  std::vector<std::uint32_t>& out,
+                  std::span<std::uint8_t> in_set) {
   if (k > n) k = n;
   std::mt19937_64 rng(seed);
   // Floyd's algorithm gives k distinct samples in O(k) draws.
@@ -145,7 +143,7 @@ void floyd_sample(std::size_t n, std::size_t k, std::uint64_t seed,
     std::uniform_int_distribution<std::size_t> dist(0, j);
     std::size_t t = dist(rng);
     if (in_set[t]) t = j;
-    in_set[t] = true;
+    in_set[t] = 1;
     out.push_back(static_cast<std::uint32_t>(t));
   }
   std::sort(out.begin(), out.end());
@@ -153,26 +151,11 @@ void floyd_sample(std::size_t n, std::size_t k, std::uint64_t seed,
 
 }  // namespace
 
-std::vector<std::uint32_t> random_indices(std::size_t n, std::size_t k,
-                                          std::uint64_t seed) {
-  std::vector<std::uint32_t> picked;
-  std::vector<bool> in_set(n, false);
-  floyd_sample(n, k, seed, picked, in_set);
-  return picked;
-}
-
 void random_indices_into(std::size_t n, std::size_t k, std::uint64_t seed,
                          std::vector<std::uint32_t>& out, core::Arena& arena) {
   const std::span<std::uint8_t> in_set = arena.alloc<std::uint8_t>(n);
   std::fill(in_set.begin(), in_set.end(), std::uint8_t{0});
   floyd_sample(n, k, seed, out, in_set);
-}
-
-std::vector<float> gather(std::span<const float> values,
-                          std::span<const std::uint32_t> indices) {
-  std::vector<float> out;
-  gather_into(values, indices, out);
-  return out;
 }
 
 void gather_into(std::span<const float> values,

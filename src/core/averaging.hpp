@@ -55,13 +55,9 @@ struct RobustAggCounters {
   std::uint64_t clipped_contributions = 0;  ///< payloads shrunk onto the sphere
 };
 
-/// Averages `own` (dense) with sparse neighbor contributions in place.
-void partial_average(std::span<float> own, double self_weight,
-                     std::span<const WeightedContribution> contributions);
-
-/// Scratch variant: the two O(n) double accumulators come from `arena`
-/// instead of the heap (valid only within this call). Bit-identical to the
-/// allocating overload.
+/// Averages `own` (dense) with sparse neighbor contributions in place. The
+/// two O(n) double accumulators come from `arena` (valid only within this
+/// call).
 void partial_average(std::span<float> own, double self_weight,
                      std::span<const WeightedContribution> contributions,
                      Arena& arena);
@@ -73,11 +69,7 @@ void partial_average(std::span<float> own, double self_weight,
 /// combination — the weights still renormalize to 1 per coefficient, decay
 /// merely shifts mass from stale contributors toward the rest. Requires
 /// contribution_scales.size() == contributions.size(); throws otherwise.
-void partial_average(std::span<float> own, double self_weight,
-                     std::span<const WeightedContribution> contributions,
-                     std::span<const double> contribution_scales);
-
-/// Scratch variant of the scaled overload (same arena contract as above).
+/// Same arena contract as above.
 void partial_average(std::span<float> own, double self_weight,
                      std::span<const WeightedContribution> contributions,
                      std::span<const double> contribution_scales,
@@ -109,14 +101,6 @@ void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
                             std::span<const WeightedContribution> contributions,
                             std::span<const double> contribution_scales,
                             Arena& arena,
-                            RobustAggCounters* counters = nullptr);
-
-/// Allocating convenience overload (tests, one-off callers): same result,
-/// temporaries from an internal arena.
-void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
-                            double self_weight,
-                            std::span<const WeightedContribution> contributions,
-                            std::span<const double> contribution_scales,
                             RobustAggCounters* counters = nullptr);
 
 /// CHOCO-style robust accumulation over *difference* payloads: every

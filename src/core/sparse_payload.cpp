@@ -61,17 +61,6 @@ std::size_t encode_payload_into(const PayloadView& payload,
   return metadata_bytes;
 }
 
-EncodedPayload encode_payload(const SparsePayload& payload,
-                              const PayloadOptions& options) {
-  net::ByteWriter writer;
-  compress::BitWriter bit_scratch;
-  EncodedPayload out;
-  out.metadata_bytes =
-      encode_payload_into(payload, options, writer, bit_scratch);
-  out.body = std::move(writer).take();
-  return out;
-}
-
 void decode_payload_into(std::span<const std::uint8_t> body,
                          SparsePayload& out, Arena& arena) {
   net::ByteReader reader(body);
@@ -102,6 +91,9 @@ void decode_payload_into(std::span<const std::uint8_t> body,
       break;
     case IndexEncoding::kSeed: {
       const std::uint64_t seed = reader.read_u64();
+      if (count > out.vector_length) {
+        throw std::runtime_error("decode_payload: seed count exceeds length");
+      }
       compress::random_indices_into(out.vector_length, count, seed,
                                     out.indices, arena);
       break;
@@ -121,25 +113,6 @@ void decode_payload_into(std::span<const std::uint8_t> body,
   if (out.values.size() != count) {
     throw std::runtime_error("decode_payload: value count mismatch");
   }
-}
-
-SparsePayload decode_payload(std::span<const std::uint8_t> body) {
-  SparsePayload payload;
-  Arena arena;
-  decode_payload_into(body, payload, arena);
-  return payload;
-}
-
-net::Message make_message(std::uint32_t sender, std::uint32_t round,
-                          const SparsePayload& payload,
-                          const PayloadOptions& options) {
-  EncodedPayload encoded = encode_payload(payload, options);
-  net::Message msg;
-  msg.sender = sender;
-  msg.round = round;
-  msg.body = std::move(encoded.body);
-  msg.metadata_bytes = encoded.metadata_bytes;
-  return msg;
 }
 
 net::Message make_message(std::uint32_t sender, std::uint32_t round,

@@ -4,10 +4,10 @@
 //
 // In the JWINS pipeline this is the step between selection and transport:
 // the ranker (core/ranker.hpp) and randomized cut-off (core/cutoff.hpp)
-// choose which wavelet coefficients to share, encode_payload() turns that
-// (indices, values) pair into bytes — Elias-gamma gap-coded indices
+// choose which wavelet coefficients to share, encode_payload_into() turns
+// that (indices, values) pair into bytes — Elias-gamma gap-coded indices
 // (compress/elias.hpp) plus XOR-codec values (compress/float_codec.hpp) —
-// and the receiver's decode_payload() feeds partial averaging
+// and the receiver's decode_payload_into() feeds partial averaging
 // (core/averaging.hpp). All algorithms in the reproduction (JWINS, CHOCO,
 // random sampling, full-sharing and the ablations) serialize their model
 // payloads through this one codec so byte accounting is uniform, exactly as
@@ -51,7 +51,12 @@ struct SparsePayload {
   std::vector<std::uint32_t> indices;  ///< ascending; empty when dense
   std::vector<float> values;           ///< aligned with indices (or dense)
 
-  bool dense() const noexcept { return indices.empty(); }
+  /// Dense means "no indices and one value per element". A sparse payload
+  /// with zero entries is not dense: it is a valid contribution that
+  /// touches nothing.
+  bool dense() const noexcept {
+    return indices.empty() && values.size() == vector_length;
+  }
 };
 
 /// Non-owning view of a payload — what the zero-copy encoder consumes. A
@@ -70,7 +75,10 @@ struct PayloadView {
   PayloadView(const SparsePayload& p)  // NOLINT(google-explicit-*)
       : vector_length(p.vector_length), indices(p.indices), values(p.values) {}
 
-  bool dense() const noexcept { return indices.empty(); }
+  /// Same rule as SparsePayload::dense().
+  bool dense() const noexcept {
+    return indices.empty() && values.size() == vector_length;
+  }
 };
 
 struct PayloadOptions {
@@ -79,45 +87,30 @@ struct PayloadOptions {
   std::uint64_t seed = 0;  ///< required for IndexEncoding::kSeed
 };
 
-struct EncodedPayload {
-  std::vector<std::uint8_t> body;
-  std::size_t metadata_bytes = 0;
-};
-
-/// Serializes a payload. For kDense, `payload.indices` must be empty and
-/// values.size() == vector_length. For kSeed, the receiver regenerates the
-/// index set from (seed, count, vector_length).
-EncodedPayload encode_payload(const SparsePayload& payload,
-                              const PayloadOptions& options);
-
-/// Zero-copy encode: serializes `payload` by appending to `writer` (point
-/// the writer at a pooled send buffer for an allocation-free hot path).
-/// `bit_scratch` is cleared and reused for the Elias/XOR sections. Returns
-/// the metadata byte count (bytes written before the value section).
-/// Byte-identical to encode_payload().
+/// Serializes `payload` by appending to `writer` (point the writer at a
+/// pooled send buffer for an allocation-free hot path). For kDense,
+/// `payload.indices` must be empty and values.size() == vector_length. For
+/// kSeed, the receiver regenerates the index set from (seed, count,
+/// vector_length). `bit_scratch` is cleared and reused for the Elias/XOR
+/// sections. Returns the metadata byte count (bytes written before the
+/// value section).
 std::size_t encode_payload_into(const PayloadView& payload,
                                 const PayloadOptions& options,
                                 net::ByteWriter& writer,
                                 compress::BitWriter& bit_scratch);
 
-/// Parses a payload produced by encode_payload. For kSeed the index set is
-/// regenerated, so the result always carries explicit indices unless dense.
-SparsePayload decode_payload(std::span<const std::uint8_t> body);
-
-/// Zero-copy decode: compressed sections are read as views into `body` (no
-/// blob copies) and results land in `out`'s reused buffers; `arena` backs
-/// the kSeed membership flags. Identical results to decode_payload().
+/// Parses a payload produced by encode_payload_into. For kSeed the index
+/// set is regenerated, so the result always carries explicit indices unless
+/// dense. Compressed sections are read as views into `body` (no blob
+/// copies) and results land in `out`'s reused buffers; `arena` backs the
+/// kSeed membership flags.
 void decode_payload_into(std::span<const std::uint8_t> body,
                          SparsePayload& out, Arena& arena);
 
-/// Convenience: wraps an encoded payload into a network message.
-net::Message make_message(std::uint32_t sender, std::uint32_t round,
-                          const SparsePayload& payload,
-                          const PayloadOptions& options);
-
-/// Hot-path variant: encodes into a buffer from `pool`, so the message body
-/// storage is recycled round over round and fan-out to d neighbors shares
-/// one refcounted buffer instead of d copies.
+/// Wraps an encoded payload into a network message. Encodes into a buffer
+/// from `pool`, so the message body storage is recycled round over round
+/// and fan-out to d neighbors shares one refcounted buffer instead of d
+/// copies.
 net::Message make_message(std::uint32_t sender, std::uint32_t round,
                           const PayloadView& payload,
                           const PayloadOptions& options, net::BufferPool& pool,

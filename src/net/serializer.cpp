@@ -19,27 +19,6 @@ void ByteWriter::write_u32_array(std::span<const std::uint32_t> values) {
   buffer_.insert(buffer_.end(), p, p + values.size() * sizeof(std::uint32_t));
 }
 
-std::vector<std::uint8_t> ByteReader::read_bytes() {
-  const std::uint32_t n = read_u32();
-  if (remaining() < n) throw std::out_of_range("ByteReader: truncated blob");
-  std::vector<std::uint8_t> out(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
-std::vector<float> ByteReader::read_f32_array() {
-  std::vector<float> out;
-  read_f32_array_into(out);
-  return out;
-}
-
-std::vector<std::uint32_t> ByteReader::read_u32_array() {
-  std::vector<std::uint32_t> out;
-  read_u32_array_into(out);
-  return out;
-}
-
 std::span<const std::uint8_t> ByteReader::view_bytes() {
   const std::uint32_t n = read_u32();
   if (remaining() < n) throw std::out_of_range("ByteReader: truncated blob");

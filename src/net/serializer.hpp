@@ -78,17 +78,13 @@ class ByteReader {
   float read_f32() { return read_pod<float>(); }
   double read_f64() { return read_pod<double>(); }
 
-  std::vector<std::uint8_t> read_bytes();
-  std::vector<float> read_f32_array();
-  std::vector<std::uint32_t> read_u32_array();
-
-  /// Zero-copy variant of read_bytes(): a view into the underlying buffer,
-  /// valid as long as the buffer outlives the reader (message bodies do —
-  /// they are refcounted net::SharedBytes).
+  /// Reads a length-prefixed blob as a view into the underlying buffer
+  /// (zero-copy), valid as long as the buffer outlives the reader (message
+  /// bodies do — they are refcounted net::SharedBytes).
   std::span<const std::uint8_t> view_bytes();
 
-  /// Reuse variants: decode into a caller-owned vector (cleared first), so a
-  /// warmed buffer makes the read allocation-free.
+  /// Decode a length-prefixed array into a caller-owned vector (cleared
+  /// first), so a warmed buffer makes the read allocation-free.
   void read_f32_array_into(std::vector<float>& out);
   void read_u32_array_into(std::vector<std::uint32_t>& out);
 

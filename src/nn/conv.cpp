@@ -39,7 +39,11 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
   bias_ = Tensor::uniform({out_channels}, -bound, bound, rng);
 }
 
-Tensor Conv2d::forward(const Tensor& input) {
+// forward() and backward() start on a cache-line boundary for the reason
+// given at compress::topk_indices_into_fast: left to the linker, a 32-byte
+// shift of these direct loops measured ~4% slower end to end on the fig5
+// cifar workload (Xeon host).
+[[gnu::aligned(64)]] Tensor Conv2d::forward(const Tensor& input) {
   if (input.rank() != 4 || input.dim(1) != in_ch_) {
     throw std::invalid_argument("Conv2d: expected [B, " + std::to_string(in_ch_) +
                                 ", H, W], got " + tensor::to_string(input.shape()));
@@ -85,7 +89,7 @@ Tensor Conv2d::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+[[gnu::aligned(64)]] Tensor Conv2d::backward(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
   const std::size_t batch = input.dim(0), ih = input.dim(2), iw = input.dim(3);
   const std::size_t oh = grad_output.dim(2), ow = grad_output.dim(3);

@@ -25,7 +25,8 @@ Tensor Linear::forward(const Tensor& input) {
                                 tensor::to_string(input.shape()));
   }
   cached_input_ = input;
-  Tensor out = tensor::matmul_nt(input, weight_);  // [B, out]
+  Tensor out({input.dim(0), out_});
+  tensor::matmul_nt_into(out, input, weight_);
   const std::size_t batch = input.dim(0);
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t o = 0; o < out_; ++o) out[b * out_ + o] += bias_[o];
@@ -40,13 +41,16 @@ Tensor Linear::backward(const Tensor& grad_output) {
     throw std::invalid_argument("Linear::backward: grad shape mismatch");
   }
   // dW += dYᵀ · X ; db += column sums of dY ; dX = dY · W.
-  grad_weight_ += tensor::matmul_tn(grad_output, cached_input_);
+  tensor::matmul_tn_into(grad_weight_tmp_, grad_output, cached_input_);
+  grad_weight_ += grad_weight_tmp_;
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t o = 0; o < out_; ++o) {
       grad_bias_[o] += grad_output[b * out_ + o];
     }
   }
-  return tensor::matmul(grad_output, weight_);
+  Tensor grad_input({batch, in_});
+  tensor::matmul_into(grad_input, grad_output, weight_);
+  return grad_input;
 }
 
 Tensor ReLU::forward(const Tensor& input) {

@@ -27,6 +27,7 @@ class Linear final : public Module {
   Tensor weight_, bias_;
   Tensor grad_weight_, grad_bias_;
   Tensor cached_input_;
+  Tensor grad_weight_tmp_;  // dYᵀ·X before it is added into grad_weight_
 };
 
 /// max(x, 0).

@@ -304,15 +304,6 @@ void matmul_into(Tensor& out, const Tensor& a, const Tensor& b) {
   }
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(0)) {
-    throw_shape_mismatch(a.shape(), b.shape(), "matmul");
-  }
-  Tensor out({a.dim(0), b.dim(1)});  // single allocation, already zeroed
-  matmul_into(out, a, b);
-  return out;
-}
-
 void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b) {
   if (a.rank() != 2 || b.rank() != 2 || a.dim(0) != b.dim(0)) {
     throw_shape_mismatch(a.shape(), b.shape(), "matmul_tn");
@@ -335,15 +326,6 @@ void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b) {
   }
 }
 
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  if (a.rank() != 2 || b.rank() != 2 || a.dim(0) != b.dim(0)) {
-    throw_shape_mismatch(a.shape(), b.shape(), "matmul_tn");
-  }
-  Tensor out({a.dim(1), b.dim(1)});
-  matmul_tn_into(out, a, b);
-  return out;
-}
-
 void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b) {
   if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(1)) {
     throw_shape_mismatch(a.shape(), b.shape(), "matmul_nt");
@@ -362,15 +344,6 @@ void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b) {
       po[i * n + j] = static_cast<float>(acc);
     }
   }
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(1)) {
-    throw_shape_mismatch(a.shape(), b.shape(), "matmul_nt");
-  }
-  Tensor out({a.dim(0), b.dim(0)});
-  matmul_nt_into(out, a, b);
-  return out;
 }
 
 float dot(const Tensor& a, const Tensor& b) {

@@ -149,20 +149,15 @@ Tensor operator*(Tensor lhs, const Tensor& rhs);  // elementwise
 Tensor operator*(Tensor lhs, float scalar);
 Tensor operator*(float scalar, Tensor rhs);
 
-/// Row-major matrix product: a is [m,k], b is [k,n], result is [m,n].
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// matmul with the first operand transposed: aᵀ·b where a is [k,m].
-Tensor matmul_tn(const Tensor& a, const Tensor& b);
-
-/// matmul with the second operand transposed: a·bᵀ where b is [n,k].
-Tensor matmul_nt(const Tensor& a, const Tensor& b);
-
-/// Scratch variants: compute into `out` (reshaped via ensure_shape, so a
-/// warm workspace makes the call allocation-free). Bit-identical to the
-/// value-returning forms; `out` must not alias an operand.
+/// Matrix products computed into `out` (reshaped via ensure_shape, so a
+/// warm workspace makes the call allocation-free); `out` must not alias an
+/// operand.
+///
+/// matmul_into: row-major product, a is [m,k], b is [k,n], out is [m,n].
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
+/// matmul_tn_into: first operand transposed, aᵀ·b where a is [k,m].
 void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b);
+/// matmul_nt_into: second operand transposed, a·bᵀ where b is [n,k].
 void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b);
 
 /// Dot product of two same-sized tensors viewed as flat vectors.

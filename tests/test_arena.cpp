@@ -1,8 +1,8 @@
 // Round-scratch memory facility: core::Arena invariants (alignment, growth,
 // reset/reuse, consolidation), net::BufferPool / SharedBytes recycling,
 // PayloadPool slot reuse, no-aliasing across concurrently used arenas, and
-// the central refactor guard — every scratch-backed API must be
-// bit-identical to its allocating legacy counterpart, and arena-backed
+// the central refactor guard — every scratch-backed API must give the same
+// bytes into a dirty, reused output as into a fresh one, and arena-backed
 // engine runs must stay byte-identical across thread counts (the same
 // contract test_determinism.cpp pins on the metric level).
 #include <gtest/gtest.h>
@@ -233,99 +233,126 @@ TEST(PayloadPool, ReusesSlotCapacityAcrossResets) {
   EXPECT_EQ(again.indices.data(), index_storage);  // ...but capacity kept
 }
 
-// --- Scratch APIs are bit-identical to the allocating legacy APIs ----------
+// --- Scratch APIs: a dirty, reused output gives a fresh output's bytes -----
 
 TEST(ScratchEquivalence, TopKGatherAndRandomIndices) {
   const auto values = random_floats(4096, 1);
-  core::Arena arena;
+  const auto other = random_floats(4096, 99);
+  std::vector<std::uint32_t> reused;
+  std::vector<float> gathered_reused;
   for (const std::size_t k : {std::size_t{1}, std::size_t{409}, std::size_t{4096},
                               std::size_t{9999}}) {
-    const auto legacy = compress::topk_indices(values, k);
-    std::vector<std::uint32_t> scratch;
-    compress::topk_indices_into(values, k, scratch);
-    EXPECT_EQ(legacy, scratch) << "k=" << k;
+    std::vector<std::uint32_t> fresh;
+    compress::topk_indices_into(values, k, fresh);
+    compress::topk_indices_into(other, 700, reused);  // leave stale indices
+    compress::topk_indices_into(values, k, reused);
+    EXPECT_EQ(fresh, reused) << "k=" << k;
 
-    const auto gathered = compress::gather(values, legacy);
-    std::vector<float> gathered_scratch;
-    compress::gather_into(values, legacy, gathered_scratch);
-    EXPECT_EQ(gathered, gathered_scratch);
+    std::vector<float> gathered_fresh;
+    compress::gather_into(values, fresh, gathered_fresh);
+    gathered_reused.assign(5000, -1.0f);
+    compress::gather_into(values, fresh, gathered_reused);
+    EXPECT_EQ(gathered_fresh, gathered_reused);
   }
+  core::Arena arena;
+  std::vector<std::uint32_t> reused_indices(3000, 7u);
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const auto legacy = compress::random_indices(4096, 1365, seed);
-    std::vector<std::uint32_t> scratch;
+    core::Arena fresh_arena;
+    std::vector<std::uint32_t> fresh;
+    compress::random_indices_into(4096, 1365, seed, fresh, fresh_arena);
+    // Stale set flags in the recycled arena memory must not leak in.
     arena.reset();
-    compress::random_indices_into(4096, 1365, seed, scratch, arena);
-    EXPECT_EQ(legacy, scratch) << "seed=" << seed;
+    for (auto& flag : arena.alloc<std::uint8_t>(4096)) flag = 1;
+    arena.reset();
+    compress::random_indices_into(4096, 1365, seed, reused_indices, arena);
+    EXPECT_EQ(fresh, reused_indices) << "seed=" << seed;
   }
 }
 
 TEST(ScratchEquivalence, EliasAndFloatCodec) {
   const auto values = random_floats(8192, 2);
-  const auto indices = compress::topk_indices(values, 800);
+  std::vector<std::uint32_t> indices;
+  compress::topk_indices_into(values, 800, indices);
 
-  const auto legacy_bytes = compress::encode_index_gaps(indices);
+  compress::BitWriter fresh_gaps;
+  compress::encode_index_gaps(indices, fresh_gaps);
   compress::BitWriter bits;
+  compress::compress_floats(random_floats(999, 3), bits);  // dirty it
   for (int round = 0; round < 3; ++round) {  // reuse across rounds
     bits.clear();
     compress::encode_index_gaps(indices, bits);
-    EXPECT_EQ(legacy_bytes, bits.bytes());
+    EXPECT_EQ(fresh_gaps.bytes(), bits.bytes());
   }
-  const auto legacy_decoded = compress::decode_index_gaps(legacy_bytes, 800);
-  std::vector<std::uint32_t> decoded;
-  compress::decode_index_gaps_into(legacy_bytes, 800, decoded);
-  EXPECT_EQ(legacy_decoded, decoded);
+  std::vector<std::uint32_t> fresh_decoded;
+  compress::decode_index_gaps_into(fresh_gaps.bytes(), 800, fresh_decoded);
+  std::vector<std::uint32_t> decoded(2000, 9u);
+  compress::decode_index_gaps_into(fresh_gaps.bytes(), 800, decoded);
+  EXPECT_EQ(fresh_decoded, decoded);
 
-  const auto legacy_comp = compress::compress_floats(values);
+  compress::BitWriter fresh_comp;
+  compress::compress_floats(values, fresh_comp);
   bits.clear();
   compress::compress_floats(values, bits);
-  EXPECT_EQ(legacy_comp, bits.bytes());
-  const auto legacy_back = compress::decompress_floats(legacy_comp, 8192);
-  std::vector<float> back;
-  compress::decompress_floats_into(legacy_comp, 8192, back);
-  EXPECT_EQ(legacy_back, back);
+  EXPECT_EQ(fresh_comp.bytes(), bits.bytes());
+  std::vector<float> fresh_back;
+  compress::decompress_floats_into(fresh_comp.bytes(), 8192, fresh_back);
+  std::vector<float> back(10000, -3.0f);
+  compress::decompress_floats_into(fresh_comp.bytes(), 8192, back);
+  EXPECT_EQ(fresh_back, back);
 }
 
 TEST(ScratchEquivalence, QsgdQuantizer) {
   const auto values = random_floats(2048, 3);
   std::mt19937_64 rng_a(9), rng_b(9);
-  const auto legacy = compress::qsgd_quantize(values, 15, rng_a);
+  compress::QuantizedVector fresh;
+  compress::qsgd_quantize_into(values, 15, rng_a, fresh);
   compress::QuantizedVector scratch;
-  scratch.packed.reserve(64);  // nonempty initial state must not leak in
+  scratch.norm = 42.0f;
+  scratch.packed.assign(64, 0xAB);  // nonempty initial state must not leak in
   compress::qsgd_quantize_into(values, 15, rng_b, scratch);
-  EXPECT_EQ(legacy.norm, scratch.norm);
-  EXPECT_EQ(legacy.packed, scratch.packed);
+  EXPECT_EQ(fresh.norm, scratch.norm);
+  EXPECT_EQ(fresh.packed, scratch.packed);
 
-  const auto legacy_deq = compress::qsgd_dequantize(legacy);
-  std::vector<float> deq;
+  std::vector<float> fresh_deq;
+  compress::qsgd_dequantize_into(fresh, fresh_deq);
+  std::vector<float> deq(5000, 1.0f);
   compress::qsgd_dequantize_into(scratch, deq);
-  EXPECT_EQ(legacy_deq, deq);
+  EXPECT_EQ(fresh_deq, deq);
 
-  const auto legacy_ser = compress::qsgd_serialize(legacy);
-  net::ByteWriter writer;
+  net::ByteWriter fresh_ser;
+  compress::qsgd_serialize_into(fresh, fresh_ser);
+  net::ByteWriter writer(std::vector<std::uint8_t>(256, 0xCD));
   compress::qsgd_serialize_into(scratch, writer);
-  EXPECT_EQ(legacy_ser, writer.buffer());
+  EXPECT_EQ(fresh_ser.buffer(), writer.buffer());
   compress::QuantizedVector round_trip;
-  compress::qsgd_deserialize_into(legacy_ser, round_trip);
-  EXPECT_EQ(round_trip.packed, legacy.packed);
-  EXPECT_EQ(round_trip.count, legacy.count);
+  round_trip.packed.assign(999, 0xEF);
+  compress::qsgd_deserialize_into(fresh_ser.buffer(), round_trip);
+  EXPECT_EQ(round_trip.packed, fresh.packed);
+  EXPECT_EQ(round_trip.count, fresh.count);
 }
 
 TEST(ScratchEquivalence, DwtWorkspaceTransforms) {
-  for (const std::size_t n : {std::size_t{63}, std::size_t{1024},
-                              std::size_t{1000}, std::size_t{4097}}) {
+  // One workspace serves every size below, so each transform after the
+  // first finds it grown and holding the previous transform's samples.
+  dwt::DwtWorkspace ws;
+  for (const std::size_t n : {std::size_t{4097}, std::size_t{63},
+                              std::size_t{1024}, std::size_t{1000}}) {
     const dwt::DwtPlan plan(dwt::sym2(), n, 4);
     const auto x = random_floats(n, static_cast<unsigned>(n));
-    const auto legacy = plan.forward(x);
-    dwt::DwtWorkspace ws;
+    std::vector<float> fresh(plan.coeff_length());
+    dwt::DwtWorkspace fresh_ws;
+    plan.forward_into(x, fresh, fresh_ws);
     std::vector<float> coeffs(plan.coeff_length());
     for (int round = 0; round < 2; ++round) {  // workspace reuse
       plan.forward_into(x, coeffs, ws);
-      EXPECT_EQ(legacy, coeffs) << "n=" << n;
+      EXPECT_EQ(fresh, coeffs) << "n=" << n;
     }
-    const auto legacy_inv = plan.inverse(legacy);
-    std::vector<float> out(n);
+    std::vector<float> fresh_inv(n);
+    dwt::DwtWorkspace fresh_inv_ws;
+    plan.inverse_into(fresh, fresh_inv, fresh_inv_ws);
+    std::vector<float> out(n, -7.0f);
     plan.inverse_into(coeffs, out, ws);
-    EXPECT_EQ(legacy_inv, out) << "n=" << n;
+    EXPECT_EQ(fresh_inv, out) << "n=" << n;
   }
 }
 
@@ -335,16 +362,20 @@ TEST(ScratchEquivalence, PartialAverageWithArena) {
   std::vector<core::WeightedContribution> contribs;
   for (std::size_t j = 0; j < payloads.size(); ++j) {
     payloads[j].vector_length = static_cast<std::uint32_t>(n);
-    payloads[j].indices = compress::random_indices(n, n / 4, j + 1);
+    payloads[j].indices = testutil::sampled_indices(n, n / 4, j + 1);
     payloads[j].values = random_floats(n / 4, static_cast<unsigned>(j) + 10);
     contribs.push_back({0.25, &payloads[j]});
   }
-  auto legacy = random_floats(n, 77);
-  auto scratch_backed = legacy;
-  core::partial_average(legacy, 0.25, contribs);
+  auto fresh = random_floats(n, 77);
+  auto reused = fresh;
+  core::Arena fresh_arena;
+  core::partial_average(fresh, 0.25, contribs, fresh_arena);
+  // The accumulators land on memory a previous caller filled with garbage.
   core::Arena arena;
-  core::partial_average(scratch_backed, 0.25, contribs, arena);
-  EXPECT_EQ(legacy, scratch_backed);
+  for (auto& v : arena.alloc<double>(4 * n)) v = 1e300;
+  arena.reset();
+  core::partial_average(reused, 0.25, contribs, arena);
+  EXPECT_EQ(fresh, reused);
 }
 
 TEST(ScratchEquivalence, PayloadCodecRoundTrip) {
@@ -352,31 +383,38 @@ TEST(ScratchEquivalence, PayloadCodecRoundTrip) {
   const auto values = random_floats(n, 5);
   core::SparsePayload payload;
   payload.vector_length = static_cast<std::uint32_t>(n);
-  payload.indices = compress::topk_indices(values, n / 8);
-  payload.values = compress::gather(values, payload.indices);
+  compress::topk_indices_into(values, n / 8, payload.indices);
+  compress::gather_into(values, payload.indices, payload.values);
 
+  // A decode target left holding a different, larger payload.
+  core::SparsePayload decoded;
+  decoded.vector_length = 7;
+  decoded.indices.assign(n, 3u);
+  decoded.values.assign(n, 2.0f);
   core::Arena arena;
+  net::ByteWriter writer;
+  compress::BitWriter bits;
   for (const auto index_encoding :
        {core::IndexEncoding::kEliasGamma, core::IndexEncoding::kRaw}) {
     for (const auto value_encoding :
          {core::ValueEncoding::kXorCodec, core::ValueEncoding::kRaw}) {
       core::PayloadOptions options{index_encoding, value_encoding, 0};
-      const core::EncodedPayload legacy = core::encode_payload(payload, options);
+      const testutil::EncodedBody fresh =
+          testutil::encode_body(payload, options);
 
-      net::ByteWriter writer;
-      compress::BitWriter bits;
+      writer.clear();  // still holding the previous encoding's capacity
       const std::size_t metadata =
           core::encode_payload_into(payload, options, writer, bits);
-      EXPECT_EQ(legacy.body, writer.buffer());
-      EXPECT_EQ(legacy.metadata_bytes, metadata);
+      EXPECT_EQ(fresh.body, writer.buffer());
+      EXPECT_EQ(fresh.metadata_bytes, metadata);
 
-      const core::SparsePayload legacy_decoded = core::decode_payload(legacy.body);
-      core::SparsePayload decoded;
+      const core::SparsePayload fresh_decoded =
+          testutil::decode_body(fresh.body);
       arena.reset();
-      core::decode_payload_into(legacy.body, decoded, arena);
-      EXPECT_EQ(legacy_decoded.vector_length, decoded.vector_length);
-      EXPECT_EQ(legacy_decoded.indices, decoded.indices);
-      EXPECT_EQ(legacy_decoded.values, decoded.values);
+      core::decode_payload_into(fresh.body, decoded, arena);
+      EXPECT_EQ(fresh_decoded.vector_length, decoded.vector_length);
+      EXPECT_EQ(fresh_decoded.indices, decoded.indices);
+      EXPECT_EQ(fresh_decoded.values, decoded.values);
     }
   }
 
@@ -386,27 +424,33 @@ TEST(ScratchEquivalence, PayloadCodecRoundTrip) {
   seed_options.seed = 0xFEEDu;
   core::SparsePayload seeded;
   seeded.vector_length = static_cast<std::uint32_t>(n);
-  seeded.indices = compress::random_indices(n, n / 8, 0xFEEDu);
-  seeded.values = compress::gather(values, seeded.indices);
-  const auto legacy = core::encode_payload(seeded, seed_options);
-  const auto legacy_decoded = core::decode_payload(legacy.body);
-  core::SparsePayload decoded;
+  seeded.indices = testutil::sampled_indices(n, n / 8, 0xFEEDu);
+  compress::gather_into(values, seeded.indices, seeded.values);
+  const auto fresh = testutil::encode_body(seeded, seed_options);
+  const auto fresh_decoded = testutil::decode_body(fresh.body);
   arena.reset();
-  core::decode_payload_into(legacy.body, decoded, arena);
-  EXPECT_EQ(legacy_decoded.indices, decoded.indices);
-  EXPECT_EQ(legacy_decoded.values, decoded.values);
+  for (auto& flag : arena.alloc<std::uint8_t>(n)) flag = 1;
+  arena.reset();
+  core::decode_payload_into(fresh.body, decoded, arena);
+  EXPECT_EQ(fresh_decoded.indices, decoded.indices);
+  EXPECT_EQ(fresh_decoded.values, decoded.values);
 
-  // Pooled make_message produces the same bytes as the legacy one.
+  // Pooled make_message gives a fresh encode's bytes, also when its body
+  // reuses a recycled buffer.
   net::BufferPool pool;
-  compress::BitWriter bits;
-  const net::Message legacy_msg = core::make_message(3, 7, payload, {});
+  {
+    std::vector<std::uint8_t> stale(9000, 0xAA);
+    const net::SharedBytes body = pool.adopt(std::move(stale));
+  }  // last reference dropped: the stale buffer is back in the pool
+  ASSERT_EQ(pool.idle_count(), 1u);
+  const testutil::EncodedBody fresh_msg = testutil::encode_body(payload, {});
   const net::Message pooled_msg =
       core::make_message(3, 7, payload, {}, pool, bits);
-  EXPECT_EQ(legacy_msg.metadata_bytes, pooled_msg.metadata_bytes);
-  ASSERT_EQ(legacy_msg.body.size(), pooled_msg.body.size());
-  const auto a = legacy_msg.body.span();
+  EXPECT_EQ(fresh_msg.metadata_bytes, pooled_msg.metadata_bytes);
+  ASSERT_EQ(fresh_msg.body.size(), pooled_msg.body.size());
   const auto b = pooled_msg.body.span();
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+  EXPECT_TRUE(
+      std::equal(fresh_msg.body.begin(), fresh_msg.body.end(), b.begin()));
 }
 
 // --- Arena-backed engine runs stay byte-identical --------------------------

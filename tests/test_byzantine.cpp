@@ -59,30 +59,33 @@ std::vector<core::WeightedContribution> contribs(
 // --- (c) unit properties: exact kNone reduction ---------------------------
 
 TEST(RobustAggUnit, NoneMatchesPartialAverageBitForBit) {
+  core::Arena arena;
   const auto p1 = dense_payload({1.0f, 2.0f, 3.0f, 4.0f});
   const auto p2 = sparse_payload(4, {1, 3}, {10.0f, -2.0f});
   const auto c = contribs({&p1, &p2}, 0.25);
   std::vector<float> legacy = {0.5f, -0.5f, 1.5f, 2.5f};
   std::vector<float> robust = legacy;
-  core::partial_average(legacy, 0.5, c);
+  core::partial_average(legacy, 0.5, c, arena);
   core::RobustAggConfig none;  // kind = kNone
-  core::robust_partial_average(none, robust, 0.5, c, {});
+  core::robust_partial_average(none, robust, 0.5, c, {}, arena);
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(legacy[i], robust[i]) << i;
   }
 }
 
 TEST(RobustAggUnit, NoneMatchesScaledPartialAverageBitForBit) {
+  core::Arena arena;
   const auto p1 = dense_payload({1.0f, 2.0f, 3.0f, 4.0f});
   const auto p2 = dense_payload({-1.0f, 0.0f, 1.0f, 2.0f});
   const auto c = contribs({&p1, &p2}, 0.25);
   const std::vector<double> scales = {1.0, 0.5};
   std::vector<float> legacy = {0.5f, -0.5f, 1.5f, 2.5f};
   std::vector<float> robust = legacy;
-  core::partial_average(legacy, 0.5, c, std::span<const double>(scales));
+  core::partial_average(legacy, 0.5, c, std::span<const double>(scales),
+                        arena);
   core::RobustAggConfig none;
   core::robust_partial_average(none, robust, 0.5, c,
-                               std::span<const double>(scales));
+                               std::span<const double>(scales), arena);
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(legacy[i], robust[i]) << i;
   }
@@ -104,6 +107,7 @@ TEST(RobustAggUnit, NoneAccumulateMatchesManualWeightedSum) {
 // --- (c) unit properties: median ------------------------------------------
 
 TEST(RobustAggUnit, MedianPicksMiddleValueIgnoringWeights) {
+  core::Arena arena;
   // Suppliers per coordinate: own, p1, p2 (odd count) — the median must be
   // the middle *value*, regardless of how lopsided the weights are.
   const auto p1 = dense_payload({100.0f, -100.0f});
@@ -112,22 +116,24 @@ TEST(RobustAggUnit, MedianPicksMiddleValueIgnoringWeights) {
   std::vector<float> own = {1.0f, 5.0f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.5, c, {});
+  core::robust_partial_average(cfg, own, 0.5, c, {}, arena);
   EXPECT_FLOAT_EQ(own[0], 2.0f);   // median of {1, 100, 2}
   EXPECT_FLOAT_EQ(own[1], 3.0f);   // median of {5, -100, 3}
 }
 
 TEST(RobustAggUnit, MedianEvenCountAveragesMiddleTwo) {
+  core::Arena arena;
   const auto p1 = dense_payload({8.0f});
   std::vector<core::WeightedContribution> c = {{0.5, &p1}};
   std::vector<float> own = {2.0f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.5, c, {});
+  core::robust_partial_average(cfg, own, 0.5, c, {}, arena);
   EXPECT_FLOAT_EQ(own[0], 5.0f);  // mean of {2, 8}
 }
 
 TEST(RobustAggUnit, MedianLeavesUnsuppliedCoordinatesUntouched) {
+  core::Arena arena;
   // A sparse contribution covers only index 1; index 0's supplier list is
   // just `own` (m == 1), which the robust rules leave bit-identical.
   const auto p1 = sparse_payload(2, {1}, {9.0f});
@@ -135,7 +141,7 @@ TEST(RobustAggUnit, MedianLeavesUnsuppliedCoordinatesUntouched) {
   std::vector<float> own = {3.25f, 1.0f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.5, c, {});
+  core::robust_partial_average(cfg, own, 0.5, c, {}, arena);
   EXPECT_EQ(own[0], 3.25f);
   EXPECT_FLOAT_EQ(own[1], 5.0f);
 }
@@ -143,6 +149,7 @@ TEST(RobustAggUnit, MedianLeavesUnsuppliedCoordinatesUntouched) {
 // --- (c) unit properties: trimmed mean ------------------------------------
 
 TEST(RobustAggUnit, TrimmedMeanDropsExtremesAndRenormalizes) {
+  core::Arena arena;
   // Suppliers: own=0 (w 0.4), and four contributions 1..4 (w 0.15 each).
   // f = 0.2, m = 5 -> t = 1: drop the min (own, 0) and max (4); survivors
   // {1, 2, 3} weighted-average with renormalized weights (all equal 0.15,
@@ -157,12 +164,13 @@ TEST(RobustAggUnit, TrimmedMeanDropsExtremesAndRenormalizes) {
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.2;
   core::RobustAggCounters counters;
-  core::robust_partial_average(cfg, own, 0.4, c, {}, &counters);
+  core::robust_partial_average(cfg, own, 0.4, c, {}, arena, &counters);
   EXPECT_FLOAT_EQ(own[0], 2.0f);
   EXPECT_EQ(counters.trimmed_entries, 2u);  // one per end, one coordinate
 }
 
 TEST(RobustAggUnit, TrimmedMeanWeightsSurvivorsProperly) {
+  core::Arena arena;
   // Survivors with unequal weights: own=2 (w 0.6) and p2=4 (w 0.2) survive
   // after trimming min/max; weighted mean = (0.6*2 + 0.2*4) / 0.8 = 2.5.
   const auto p1 = dense_payload({-100.0f});
@@ -173,11 +181,12 @@ TEST(RobustAggUnit, TrimmedMeanWeightsSurvivorsProperly) {
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.25;  // m = 4 -> t = 1
-  core::robust_partial_average(cfg, own, 0.6, c, {});
+  core::robust_partial_average(cfg, own, 0.6, c, {}, arena);
   EXPECT_FLOAT_EQ(own[0], 2.5f);
 }
 
 TEST(RobustAggUnit, TrimCountClampAlwaysLeavesASurvivor) {
+  core::Arena arena;
   // f = 0.49 with m = 5 gives floor(2.45) = 2 = (5-1)/2: exactly one
   // survivor (the median entry) remains.
   const auto p1 = dense_payload({10.0f});
@@ -189,11 +198,12 @@ TEST(RobustAggUnit, TrimCountClampAlwaysLeavesASurvivor) {
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.49;
-  core::robust_partial_average(cfg, own, 0.2, c, {});
+  core::robust_partial_average(cfg, own, 0.2, c, {}, arena);
   EXPECT_FLOAT_EQ(own[0], 25.0f);  // the median survivor is own itself
 }
 
 TEST(RobustAggUnit, TrimFractionMonotonicity) {
+  core::Arena arena;
   // One gross outlier among 9 suppliers: as the trim fraction grows the
   // estimate moves monotonically toward the honest mean, and the trimmed-
   // entry counter grows monotonically too.
@@ -213,7 +223,7 @@ TEST(RobustAggUnit, TrimFractionMonotonicity) {
     cfg.kind = core::RobustAggKind::kTrimmedMean;
     cfg.trim_fraction = f;
     core::RobustAggCounters counters;
-    core::robust_partial_average(cfg, own, 0.2, c, {}, &counters);
+    core::robust_partial_average(cfg, own, 0.2, c, {}, arena, &counters);
     const double error = std::abs(own[0] - honest_mean);
     EXPECT_LE(error, previous_error) << "f=" << f;
     EXPECT_GE(counters.trimmed_entries, previous_trimmed) << "f=" << f;
@@ -226,6 +236,7 @@ TEST(RobustAggUnit, TrimFractionMonotonicity) {
 // --- (c) unit properties: bounded output under a single outlier -----------
 
 TEST(RobustAggUnit, MedianBoundedUnderSingleOutlier) {
+  core::Arena arena;
   const auto honest1 = dense_payload({1.0f, -1.0f});
   const auto honest2 = dense_payload({2.0f, -2.0f});
   const auto outlier = dense_payload({1e6f, -1e6f});
@@ -233,11 +244,12 @@ TEST(RobustAggUnit, MedianBoundedUnderSingleOutlier) {
   std::vector<float> own = {0.5f, -0.5f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.4, c, {});
+  core::robust_partial_average(cfg, own, 0.4, c, {}, arena);
   for (const float v : own) EXPECT_LE(std::abs(v), 2.0f);
 }
 
 TEST(RobustAggUnit, TrimmedMeanBoundedUnderSingleOutlier) {
+  core::Arena arena;
   const auto honest1 = dense_payload({1.0f, -1.0f});
   const auto honest2 = dense_payload({2.0f, -2.0f});
   const auto outlier = dense_payload({-1e6f, 1e6f});
@@ -246,11 +258,12 @@ TEST(RobustAggUnit, TrimmedMeanBoundedUnderSingleOutlier) {
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.25;  // m = 4 -> t = 1: the outlier is trimmed
-  core::robust_partial_average(cfg, own, 0.4, c, {});
+  core::robust_partial_average(cfg, own, 0.4, c, {}, arena);
   for (const float v : own) EXPECT_LE(std::abs(v), 2.0f);
 }
 
 TEST(RobustAggUnit, NormClipBoundsDeviationFromOwn) {
+  core::Arena arena;
   const auto outlier = dense_payload({100.0f, 0.0f});
   std::vector<core::WeightedContribution> c = {{0.5, &outlier}};
   std::vector<float> own = {0.0f, 0.0f};
@@ -258,7 +271,7 @@ TEST(RobustAggUnit, NormClipBoundsDeviationFromOwn) {
   cfg.kind = core::RobustAggKind::kNormClip;
   cfg.clip_norm = 2.0;
   core::RobustAggCounters counters;
-  core::robust_partial_average(cfg, own, 0.5, c, {}, &counters);
+  core::robust_partial_average(cfg, own, 0.5, c, {}, arena, &counters);
   // Clipped contribution: own + 2/100 * (z - own) = (2, 0); the 50/50
   // average with own (0, 0) gives (1, 0).
   EXPECT_FLOAT_EQ(own[0], 1.0f);
@@ -267,6 +280,7 @@ TEST(RobustAggUnit, NormClipBoundsDeviationFromOwn) {
 }
 
 TEST(RobustAggUnit, NormClipPassesSmallDeviationsBitIdentically) {
+  core::Arena arena;
   const auto p1 = dense_payload({0.25f, -0.125f});
   const auto p2 = sparse_payload(2, {0}, {0.5f});
   const auto c = contribs({&p1, &p2}, 0.25);
@@ -276,8 +290,8 @@ TEST(RobustAggUnit, NormClipPassesSmallDeviationsBitIdentically) {
   cfg.kind = core::RobustAggKind::kNormClip;
   cfg.clip_norm = 10.0;  // nothing deviates this far
   core::RobustAggCounters counters;
-  core::robust_partial_average(cfg, clipped, 0.5, c, {}, &counters);
-  core::partial_average(legacy, 0.5, c);
+  core::robust_partial_average(cfg, clipped, 0.5, c, {}, arena, &counters);
+  core::partial_average(legacy, 0.5, c, arena);
   EXPECT_EQ(counters.clipped_contributions, 0u);
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(legacy[i], clipped[i]) << i;
@@ -290,6 +304,7 @@ class RobustPermutation
     : public ::testing::TestWithParam<core::RobustAggKind> {};
 
 TEST_P(RobustPermutation, ContributionOrderDoesNotChangeTheResult) {
+  core::Arena arena;
   // Distinct values per coordinate so the value-sort is canonical; the
   // order the contributions arrive in must not matter.
   const auto p1 = dense_payload({1.0f, 7.0f, -3.0f});
@@ -306,8 +321,8 @@ TEST_P(RobustPermutation, ContributionOrderDoesNotChangeTheResult) {
   cfg.clip_norm = 3.0;
   std::vector<float> a = {0.5f, 0.25f, -0.75f};
   std::vector<float> b = a;
-  core::robust_partial_average(cfg, a, 0.3, forward, {});
-  core::robust_partial_average(cfg, b, 0.3, reversed, {});
+  core::robust_partial_average(cfg, a, 0.3, forward, {}, arena);
+  core::robust_partial_average(cfg, b, 0.3, reversed, {}, arena);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a[i], b[i], 1e-6) << i;
   }
@@ -397,6 +412,7 @@ TEST(RobustAggUnit, DiffNormClipShrinksLargeDiffs) {
 }
 
 TEST(RobustAggUnit, CountersAccumulateAcrossCalls) {
+  core::Arena arena;
   const auto outlier = dense_payload({100.0f});
   std::vector<core::WeightedContribution> c = {{0.5, &outlier}};
   core::RobustAggConfig cfg;
@@ -405,7 +421,7 @@ TEST(RobustAggUnit, CountersAccumulateAcrossCalls) {
   core::RobustAggCounters counters;
   for (int i = 0; i < 3; ++i) {
     std::vector<float> own = {0.0f};
-    core::robust_partial_average(cfg, own, 0.5, c, {}, &counters);
+    core::robust_partial_average(cfg, own, 0.5, c, {}, arena, &counters);
   }
   EXPECT_EQ(counters.clipped_contributions, 3u);
 }
@@ -416,13 +432,13 @@ TEST(RobustAggUnit, MalformedContributionsThrow) {
   std::vector<float> own = {0.0f, 0.0f, 0.0f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c, {}),
+  core::Arena arena;
+  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c, {}, arena),
                std::invalid_argument);
   auto bad_index = sparse_payload(3, {7}, {1.0f});
   std::vector<core::WeightedContribution> c2 = {{0.5, &bad_index}};
-  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c2, {}),
+  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c2, {}, arena),
                std::out_of_range);
-  core::Arena arena;
   EXPECT_THROW(core::robust_accumulate_diffs(cfg, own, c, arena),
                std::invalid_argument);
 }

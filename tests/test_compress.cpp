@@ -8,6 +8,7 @@
 #include "compress/elias.hpp"
 #include "compress/float_codec.hpp"
 #include "compress/topk.hpp"
+#include "test_util.hpp"
 
 namespace jwins::compress {
 namespace {
@@ -110,24 +111,41 @@ TEST(EliasGamma, RandomStreamRoundTrip) {
   for (std::uint64_t v : values) EXPECT_EQ(elias_gamma_decode(r), v);
 }
 
+// Encodes into a fresh BitWriter and returns the code bytes.
+std::vector<std::uint8_t> gaps_of(std::span<const std::uint32_t> indices) {
+  BitWriter w;
+  encode_index_gaps(indices, w);
+  return w.bytes();
+}
+
+std::vector<std::uint8_t> floats_of(std::span<const float> values) {
+  BitWriter w;
+  compress_floats(values, w);
+  return w.bytes();
+}
+
 TEST(IndexGaps, RoundTripIncludingZeroFirstIndex) {
   const std::vector<std::uint32_t> indices{0, 1, 5, 6, 100, 101, 4096};
-  const auto bytes = encode_index_gaps(indices);
-  const auto back = decode_index_gaps(bytes, indices.size());
+  const auto bytes = gaps_of(indices);
+  std::vector<std::uint32_t> back;
+  decode_index_gaps_into(bytes, indices.size(), back);
   EXPECT_EQ(back, indices);
 }
 
 TEST(IndexGaps, EmptyArray) {
-  const auto bytes = encode_index_gaps({});
+  const auto bytes = gaps_of({});
   EXPECT_TRUE(bytes.empty());
-  EXPECT_TRUE(decode_index_gaps(bytes, 0).empty());
+  std::vector<std::uint32_t> back{7};
+  decode_index_gaps_into(bytes, 0, back);
+  EXPECT_TRUE(back.empty());
 }
 
 TEST(IndexGaps, NonMonotonicThrows) {
+  BitWriter w;
   const std::vector<std::uint32_t> bad{3, 3};
-  EXPECT_THROW(encode_index_gaps(bad), std::invalid_argument);
+  EXPECT_THROW(encode_index_gaps(bad, w), std::invalid_argument);
   const std::vector<std::uint32_t> bad2{5, 2};
-  EXPECT_THROW(encode_index_gaps(bad2), std::invalid_argument);
+  EXPECT_THROW(encode_index_gaps(bad2, w), std::invalid_argument);
 }
 
 TEST(IndexGaps, SizeEstimatorMatchesActual) {
@@ -139,8 +157,7 @@ TEST(IndexGaps, SizeEstimatorMatchesActual) {
       indices.push_back(cur);
       cur += 1 + rng() % 50;
     }
-    EXPECT_EQ(index_gaps_encoded_size(indices),
-              encode_index_gaps(indices).size());
+    EXPECT_EQ(index_gaps_encoded_size(indices), gaps_of(indices).size());
   }
 }
 
@@ -154,7 +171,7 @@ TEST(IndexGaps, DenseIndicesCompressWell) {
     cur += 1 + rng() % 3;
     indices.push_back(cur);
   }
-  const auto bytes = encode_index_gaps(indices);
+  const auto bytes = gaps_of(indices);
   EXPECT_LT(bytes.size() * 4, indices.size() * 4);  // > 4x better than raw
 }
 
@@ -162,9 +179,11 @@ class IndexGapsSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(IndexGapsSweep, RandomSubsetsRoundTrip) {
   const std::size_t k = GetParam();
-  const auto indices = random_indices(100000, k, /*seed=*/k * 977 + 1);
-  const auto bytes = encode_index_gaps(indices);
-  EXPECT_EQ(decode_index_gaps(bytes, indices.size()), indices);
+  const auto indices =
+      testutil::sampled_indices(100000, k, /*seed=*/k * 977 + 1);
+  std::vector<std::uint32_t> back;
+  decode_index_gaps_into(gaps_of(indices), indices.size(), back);
+  EXPECT_EQ(back, indices);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, IndexGapsSweep,
@@ -172,24 +191,31 @@ INSTANTIATE_TEST_SUITE_P(Sizes, IndexGapsSweep,
 
 // -------------------------------------------------------------- float codec
 
+std::vector<float> decoded(std::span<const std::uint8_t> bytes,
+                           std::size_t count) {
+  std::vector<float> out;
+  decompress_floats_into(bytes, count, out);
+  return out;
+}
+
 TEST(FloatCodec, EmptyStream) {
-  EXPECT_TRUE(compress_floats({}).empty());
-  EXPECT_TRUE(decompress_floats({}, 0).empty());
+  EXPECT_TRUE(floats_of({}).empty());
+  EXPECT_TRUE(decoded({}, 0).empty());
 }
 
 TEST(FloatCodec, SingleValue) {
   const std::vector<float> vals{3.14159f};
-  const auto bytes = compress_floats(vals);
-  const auto back = decompress_floats(bytes, 1);
+  const auto bytes = floats_of(vals);
+  const auto back = decoded(bytes, 1);
   EXPECT_EQ(back, vals);
 }
 
 TEST(FloatCodec, ConstantRunIsTiny) {
   const std::vector<float> vals(1000, 1.5f);
-  const auto bytes = compress_floats(vals);
+  const auto bytes = floats_of(vals);
   // First value: 32 bits; every repeat: 1 bit -> ~129 bytes total.
   EXPECT_LT(bytes.size(), 160u);
-  EXPECT_EQ(decompress_floats(bytes, vals.size()), vals);
+  EXPECT_EQ(decoded(bytes, vals.size()), vals);
 }
 
 TEST(FloatCodec, SpecialValuesAreLossless) {
@@ -199,8 +225,8 @@ TEST(FloatCodec, SpecialValuesAreLossless) {
       std::numeric_limits<float>::denorm_min(),
       std::numeric_limits<float>::max(), std::numeric_limits<float>::lowest(),
       1e-38f, -1e38f};
-  const auto bytes = compress_floats(vals);
-  const auto back = decompress_floats(bytes, vals.size());
+  const auto bytes = floats_of(vals);
+  const auto back = decoded(bytes, vals.size());
   ASSERT_EQ(back.size(), vals.size());
   for (std::size_t i = 0; i < vals.size(); ++i) {
     // Bit-exact comparison (covers -0.0 vs 0.0).
@@ -212,7 +238,7 @@ TEST(FloatCodec, SpecialValuesAreLossless) {
 TEST(FloatCodec, NanPreservedBitExact) {
   const float nan1 = std::numeric_limits<float>::quiet_NaN();
   const std::vector<float> vals{1.0f, nan1, 2.0f};
-  const auto back = decompress_floats(compress_floats(vals), vals.size());
+  const auto back = decoded(floats_of(vals), vals.size());
   EXPECT_EQ(std::bit_cast<std::uint32_t>(back[1]),
             std::bit_cast<std::uint32_t>(nan1));
 }
@@ -224,8 +250,8 @@ TEST_P(FloatCodecSweep, RandomStreamsRoundTripLosslessly) {
   std::normal_distribution<float> dist(0.0f, 2.0f);
   std::vector<float> vals(1537);
   for (float& v : vals) v = dist(rng);
-  const auto bytes = compress_floats(vals);
-  const auto back = decompress_floats(bytes, vals.size());
+  const auto bytes = floats_of(vals);
+  const auto back = decoded(bytes, vals.size());
   ASSERT_EQ(back.size(), vals.size());
   for (std::size_t i = 0; i < vals.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]),
@@ -242,9 +268,9 @@ TEST(FloatCodec, CorrelatedStreamCompresses) {
   for (std::size_t i = 0; i < vals.size(); ++i) {
     vals[i] = 0.5f + 1e-4f * static_cast<float>(i % 97);
   }
-  const auto bytes = compress_floats(vals);
+  const auto bytes = floats_of(vals);
   EXPECT_LT(bytes.size(), vals.size() * 4 * 8 / 10);  // >= 20% saving
-  EXPECT_EQ(decompress_floats(bytes, vals.size()), vals);
+  EXPECT_EQ(decoded(bytes, vals.size()), vals);
 }
 
 TEST(FloatCodec, SizeEstimatorMatches) {
@@ -252,14 +278,20 @@ TEST(FloatCodec, SizeEstimatorMatches) {
   std::normal_distribution<float> dist(0.0f, 1.0f);
   std::vector<float> vals(777);
   for (float& v : vals) v = dist(rng);
-  EXPECT_EQ(compressed_floats_size(vals), compress_floats(vals).size());
+  EXPECT_EQ(compressed_floats_size(vals), floats_of(vals).size());
 }
 
 // --------------------------------------------------------------------- topk
 
+std::vector<std::uint32_t> topk(std::span<const float> values, std::size_t k) {
+  std::vector<std::uint32_t> out;
+  topk_indices_into(values, k, out);
+  return out;
+}
+
 TEST(TopK, SelectsLargestMagnitudes) {
   const std::vector<float> v{0.1f, -5.0f, 3.0f, -0.2f, 4.0f};
-  const auto idx = topk_indices(v, 2);
+  const auto idx = topk(v, 2);
   EXPECT_EQ(idx, (std::vector<std::uint32_t>{1, 4}));
 }
 
@@ -268,7 +300,7 @@ TEST(TopK, SortedAscendingOutput) {
   std::normal_distribution<float> dist(0.0f, 1.0f);
   std::vector<float> v(500);
   for (float& x : v) x = dist(rng);
-  const auto idx = topk_indices(v, 50);
+  const auto idx = topk(v, 50);
   EXPECT_TRUE(std::is_sorted(idx.begin(), idx.end()));
   EXPECT_EQ(idx.size(), 50u);
 }
@@ -279,7 +311,7 @@ TEST(TopK, ThresholdProperty) {
   std::normal_distribution<float> dist(0.0f, 1.0f);
   std::vector<float> v(200);
   for (float& x : v) x = dist(rng);
-  const auto idx = topk_indices(v, 40);
+  const auto idx = topk(v, 40);
   std::vector<bool> selected(v.size(), false);
   float min_selected = std::numeric_limits<float>::infinity();
   for (auto i : idx) {
@@ -295,18 +327,18 @@ TEST(TopK, ThresholdProperty) {
 
 TEST(TopK, KLargerThanNReturnsAll) {
   const std::vector<float> v{1.0f, 2.0f};
-  const auto idx = topk_indices(v, 10);
+  const auto idx = topk(v, 10);
   EXPECT_EQ(idx, (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST(TopK, ZeroKReturnsEmpty) {
   const std::vector<float> v{1.0f, 2.0f};
-  EXPECT_TRUE(topk_indices(v, 0).empty());
+  EXPECT_TRUE(topk(v, 0).empty());
 }
 
 TEST(RandomIndices, DistinctSortedDeterministic) {
-  const auto a = random_indices(1000, 100, 42);
-  const auto b = random_indices(1000, 100, 42);
+  const auto a = testutil::sampled_indices(1000, 100, 42);
+  const auto b = testutil::sampled_indices(1000, 100, 42);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.size(), 100u);
   EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
@@ -315,13 +347,13 @@ TEST(RandomIndices, DistinctSortedDeterministic) {
 }
 
 TEST(RandomIndices, DifferentSeedsDiffer) {
-  const auto a = random_indices(1000, 100, 1);
-  const auto b = random_indices(1000, 100, 2);
+  const auto a = testutil::sampled_indices(1000, 100, 1);
+  const auto b = testutil::sampled_indices(1000, 100, 2);
   EXPECT_NE(a, b);
 }
 
 TEST(RandomIndices, FullSelection) {
-  const auto a = random_indices(10, 10, 3);
+  const auto a = testutil::sampled_indices(10, 10, 3);
   EXPECT_EQ(a.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(a[i], i);
 }
@@ -331,7 +363,7 @@ TEST(RandomIndices, RoughlyUniformCoverage) {
   const std::size_t n = 50, k = 10, trials = 2000;
   std::vector<std::size_t> hits(n, 0);
   for (std::size_t s = 0; s < trials; ++s) {
-    for (auto i : random_indices(n, k, s)) ++hits[i];
+    for (auto i : testutil::sampled_indices(n, k, s)) ++hits[i];
   }
   const double expected = static_cast<double>(trials) * k / n;
   for (std::size_t i = 0; i < n; ++i) {
@@ -343,7 +375,8 @@ TEST(RandomIndices, RoughlyUniformCoverage) {
 TEST(GatherScatter, RoundTrip) {
   const std::vector<float> dense{0, 10, 20, 30, 40};
   const std::vector<std::uint32_t> idx{1, 3};
-  const auto vals = gather(dense, idx);
+  std::vector<float> vals;
+  gather_into(dense, idx, vals);
   EXPECT_EQ(vals, (std::vector<float>{10, 30}));
   std::vector<float> out(5, -1.0f);
   scatter(out, idx, vals);
@@ -353,7 +386,8 @@ TEST(GatherScatter, RoundTrip) {
 TEST(GatherScatter, BoundsChecked) {
   const std::vector<float> dense{1.0f};
   const std::vector<std::uint32_t> bad{5};
-  EXPECT_THROW(gather(dense, bad), std::out_of_range);
+  std::vector<float> gathered;
+  EXPECT_THROW(gather_into(dense, bad, gathered), std::out_of_range);
   std::vector<float> out(1);
   const std::vector<float> vals{1.0f};
   EXPECT_THROW(scatter(out, bad, vals), std::out_of_range);

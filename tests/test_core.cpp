@@ -7,9 +7,11 @@
 #include "core/cutoff.hpp"
 #include "core/kernel_dispatch.hpp"
 #include "core/ranker.hpp"
+#include "core/scratch.hpp"
 #include "core/sparse_payload.hpp"
 #include "compress/topk.hpp"
 #include "net/serializer.hpp"
+#include "test_util.hpp"
 
 namespace jwins::core {
 namespace {
@@ -67,15 +69,17 @@ WaveletRanker::Options identity_options() {
 
 TEST(WaveletRanker, IdentityTransformAccumulates) {
   WaveletRanker ranker(4, identity_options());
+  Arena arena;
+  dwt::DwtWorkspace ws;
   const std::vector<float> x0{0, 0, 0, 0};
   const std::vector<float> x1{1, -2, 0, 3};
-  auto scores = ranker.accumulate_round_change(x0, x1);
+  auto scores = ranker.accumulate_round_change(x0, x1, arena, ws);
   EXPECT_FLOAT_EQ(scores[0], 1.0f);
   EXPECT_FLOAT_EQ(scores[1], -2.0f);
   EXPECT_FLOAT_EQ(scores[3], 3.0f);
   // Second round accumulates on top (eq. 3).
   const std::vector<float> x2{2, -2, 0, 3};
-  scores = ranker.accumulate_round_change(x1, x2);
+  scores = ranker.accumulate_round_change(x1, x2, arena, ws);
   EXPECT_FLOAT_EQ(scores[0], 2.0f);
   EXPECT_FLOAT_EQ(scores[1], -2.0f);
 }
@@ -84,18 +88,26 @@ TEST(WaveletRanker, NoAccumulationClearsEachRound) {
   auto opt = identity_options();
   opt.use_accumulation = false;
   WaveletRanker ranker(3, opt);
-  ranker.accumulate_round_change(std::vector<float>{0, 0, 0}, std::vector<float>{5, 5, 5});
-  const auto scores = ranker.accumulate_round_change(std::vector<float>{5, 5, 5}, std::vector<float>{6, 5, 5});
+  Arena arena;
+  dwt::DwtWorkspace ws;
+  ranker.accumulate_round_change(std::vector<float>{0, 0, 0},
+                                 std::vector<float>{5, 5, 5}, arena, ws);
+  const auto scores = ranker.accumulate_round_change(
+      std::vector<float>{5, 5, 5}, std::vector<float>{6, 5, 5}, arena, ws);
   EXPECT_FLOAT_EQ(scores[0], 1.0f);  // only this round's change
   EXPECT_FLOAT_EQ(scores[1], 0.0f);
 }
 
 TEST(WaveletRanker, FinishRoundResetsSentEntries) {
   WaveletRanker ranker(4, identity_options());
-  ranker.accumulate_round_change(std::vector<float>{0, 0, 0, 0}, std::vector<float>{1, 2, 3, 4});
+  Arena arena;
+  dwt::DwtWorkspace ws;
+  ranker.accumulate_round_change(std::vector<float>{0, 0, 0, 0},
+                                 std::vector<float>{1, 2, 3, 4}, arena, ws);
   // Suppose averaging leaves the model unchanged; entries 1 and 3 were sent.
   const std::vector<std::uint32_t> sent{1, 3};
-  ranker.finish_round(std::vector<float>{1, 2, 3, 4}, std::vector<float>{1, 2, 3, 4}, sent);
+  ranker.finish_round(std::vector<float>{1, 2, 3, 4},
+                      std::vector<float>{1, 2, 3, 4}, sent, arena, ws);
   const auto scores = ranker.scores();
   EXPECT_FLOAT_EQ(scores[0], 1.0f);
   EXPECT_FLOAT_EQ(scores[1], 0.0f);  // reset
@@ -107,8 +119,13 @@ TEST(WaveletRanker, FinishRoundFoldsAveragingChange) {
   // Eq. (4): V_{t+1} = V_t + T(x^{t+1,0} - x^{t,0}) (then resets). With the
   // identity transform this is directly checkable.
   WaveletRanker ranker(2, identity_options());
-  ranker.accumulate_round_change(std::vector<float>{0, 0}, std::vector<float>{1, 1});  // V' = (1, 1)
-  ranker.finish_round(std::vector<float>{1, 1}, std::vector<float>{1.5, 0.5}, {});  // + (0.5, -0.5)
+  Arena arena;
+  dwt::DwtWorkspace ws;
+  // V' = (1, 1), then + (0.5, -0.5).
+  ranker.accumulate_round_change(std::vector<float>{0, 0},
+                                 std::vector<float>{1, 1}, arena, ws);
+  ranker.finish_round(std::vector<float>{1, 1}, std::vector<float>{1.5, 0.5},
+                      {}, arena, ws);
   const auto scores = ranker.scores();
   EXPECT_FLOAT_EQ(scores[0], 1.5f);
   EXPECT_FLOAT_EQ(scores[1], 0.5f);
@@ -117,9 +134,11 @@ TEST(WaveletRanker, FinishRoundFoldsAveragingChange) {
 TEST(WaveletRanker, WaveletModeUsesTransformDomain) {
   WaveletRanker::Options opt;  // defaults: sym2, 4 levels, wavelet on
   WaveletRanker ranker(64, opt);
+  Arena arena;
+  dwt::DwtWorkspace ws;
   EXPECT_EQ(ranker.coeff_length(), 64u);
   std::vector<float> x0(64, 0.0f), x1(64, 1.0f);
-  const auto scores = ranker.accumulate_round_change(x0, x1);
+  const auto scores = ranker.accumulate_round_change(x0, x1, arena, ws);
   // Constant change -> only approximation-band coefficients are non-zero.
   double head = 0.0, tail = 0.0;
   for (std::size_t i = 0; i < 4; ++i) head += std::abs(scores[i]);
@@ -131,22 +150,31 @@ TEST(WaveletRanker, WaveletModeUsesTransformDomain) {
 TEST(WaveletRanker, TransformInverseRoundTrip) {
   WaveletRanker::Options opt;
   WaveletRanker ranker(100, opt);
+  Arena arena;
+  dwt::DwtWorkspace ws;
   std::mt19937 rng(5);
   std::normal_distribution<float> dist(0.0f, 1.0f);
   std::vector<float> x(100);
   for (float& v : x) v = dist(rng);
-  const auto coeffs = ranker.transform(x);
-  const auto back = ranker.inverse(coeffs);
+  std::vector<float> coeffs(ranker.coeff_length());
+  ranker.transform_into(x, coeffs, ws);
+  std::vector<float> back(x.size());
+  ranker.inverse_into(coeffs, back, ws);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(back[i], x[i], 1e-4f);
 }
 
 TEST(WaveletRanker, SizeMismatchThrows) {
   WaveletRanker ranker(8, identity_options());
+  Arena arena;
+  dwt::DwtWorkspace ws;
   const std::vector<float> wrong(5, 0.0f);
   const std::vector<float> right(8, 0.0f);
-  EXPECT_THROW(ranker.accumulate_round_change(wrong, right), std::invalid_argument);
-  EXPECT_THROW(ranker.transform(wrong), std::invalid_argument);
-  EXPECT_THROW(ranker.finish_round(wrong, right, {}), std::invalid_argument);
+  EXPECT_THROW(ranker.accumulate_round_change(wrong, right, arena, ws),
+               std::invalid_argument);
+  std::vector<float> coeffs(ranker.coeff_length());
+  EXPECT_THROW(ranker.transform_into(wrong, coeffs, ws), std::invalid_argument);
+  EXPECT_THROW(ranker.finish_round(wrong, right, {}, arena, ws),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- payload
@@ -172,19 +200,19 @@ TEST_P(PayloadParam, EncodeDecodeRoundTrip) {
     for (float& v : payload.values) v = dist(rng);
   } else if (index_mode == IndexEncoding::kSeed) {
     options.seed = 424242;
-    payload.indices = compress::random_indices(1000, 100, options.seed);
+    payload.indices = testutil::sampled_indices(1000, 100, options.seed);
     payload.values = std::vector<float>(100);
     for (float& v : payload.values) v = dist(rng);
   } else {
-    payload.indices = compress::random_indices(1000, 100, 7);
+    payload.indices = testutil::sampled_indices(1000, 100, 7);
     payload.values = std::vector<float>(100);
     for (float& v : payload.values) v = dist(rng);
   }
 
-  const EncodedPayload encoded = encode_payload(payload, options);
+  const auto encoded = testutil::encode_body(payload, options);
   EXPECT_GT(encoded.metadata_bytes, 0u);
   EXPECT_LT(encoded.metadata_bytes, encoded.body.size());
-  const SparsePayload back = decode_payload(encoded.body);
+  const SparsePayload back = testutil::decode_body(encoded.body);
   EXPECT_EQ(back.vector_length, payload.vector_length);
   EXPECT_EQ(back.values, payload.values);
   if (index_mode == IndexEncoding::kDense) {
@@ -208,15 +236,15 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Payload, EliasMetadataMuchSmallerThanRaw) {
   SparsePayload payload;
   payload.vector_length = 100000;
-  payload.indices = compress::random_indices(100000, 30000, 3);
+  payload.indices = testutil::sampled_indices(100000, 30000, 3);
   payload.values.assign(30000, 1.0f);
   PayloadOptions elias;
   elias.index_encoding = IndexEncoding::kEliasGamma;
   elias.value_encoding = ValueEncoding::kRaw;
   PayloadOptions raw = elias;
   raw.index_encoding = IndexEncoding::kRaw;
-  const auto e = encode_payload(payload, elias);
-  const auto r = encode_payload(payload, raw);
+  const auto e = testutil::encode_body(payload, elias);
+  const auto r = testutil::encode_body(payload, raw);
   // Figure 9: Elias gamma shrinks the metadata by roughly an order of
   // magnitude relative to 4-byte raw indices for dense-ish selections.
   EXPECT_LT(e.metadata_bytes * 5, r.metadata_bytes);
@@ -229,9 +257,9 @@ TEST(Payload, SeedMetadataIsConstantSize) {
   options.index_encoding = IndexEncoding::kSeed;
   options.seed = 99;
   options.value_encoding = ValueEncoding::kRaw;
-  payload.indices = compress::random_indices(50000, 10000, 99);
+  payload.indices = testutil::sampled_indices(50000, 10000, 99);
   payload.values.assign(10000, 0.5f);
-  const auto encoded = encode_payload(payload, options);
+  const auto encoded = testutil::encode_body(payload, options);
   // header (2 + 4 + 4) + seed (8) = 18 bytes of metadata regardless of k.
   EXPECT_EQ(encoded.metadata_bytes, 18u);
 }
@@ -242,7 +270,7 @@ TEST(Payload, MalformedDenseThrows) {
   payload.values.assign(5, 1.0f);  // wrong size for dense
   PayloadOptions options;
   options.index_encoding = IndexEncoding::kDense;
-  EXPECT_THROW(encode_payload(payload, options), std::invalid_argument);
+  EXPECT_THROW(testutil::encode_body(payload, options), std::invalid_argument);
 }
 
 TEST(Payload, TruncatedBodyThrows) {
@@ -250,9 +278,9 @@ TEST(Payload, TruncatedBodyThrows) {
   payload.vector_length = 10;
   payload.indices = {1, 5};
   payload.values = {1.0f, 2.0f};
-  const auto encoded = encode_payload(payload, {});
+  const auto encoded = testutil::encode_body(payload, {});
   std::vector<std::uint8_t> cut(encoded.body.begin(), encoded.body.end() - 3);
-  EXPECT_THROW(decode_payload(cut), std::exception);
+  EXPECT_THROW(testutil::decode_body(cut), std::exception);
 }
 
 /// A 15-byte body claiming 0xFFFFFFF0 entries in a 1-byte blob.
@@ -286,12 +314,87 @@ TEST(Payload, OversizedCountThrowsBeforeAllocatingOnBothTiers) {
   }
 }
 
+TEST(Payload, EmptySparsePayloadIsANoOpContribution) {
+  // A sparse payload with zero entries is a valid message (18 bytes, or 22
+  // under kSeed). Decoded, it must not read as dense: averaging it in must
+  // leave the receiver's model exactly as it was — also when it lands in a
+  // recycled pool slot whose buffers still hold a previous payload.
+  constexpr std::uint32_t kLength = 1000;
+  std::vector<float> model(kLength);
+  for (std::size_t i = 0; i < model.size(); ++i) {
+    model[i] = 0.25f * static_cast<float>(i);
+  }
+  core::SparsePayload full;
+  full.vector_length = kLength;
+  full.values.assign(kLength, 99.0f);
+  const auto full_body =
+      testutil::encode_body(full, {IndexEncoding::kDense, {}, 0}).body;
+  // Refilled by std::copy, not copy-assigned: GCC 12 at -O2 reports a
+  // -Wstringop-overflow false positive on the vector copy here.
+  std::vector<float> own(kLength);
+
+  for (const IndexEncoding mode : {IndexEncoding::kEliasGamma,
+                                   IndexEncoding::kRaw, IndexEncoding::kSeed}) {
+    for (const ValueEncoding values :
+         {ValueEncoding::kXorCodec, ValueEncoding::kRaw}) {
+      SparsePayload empty;
+      empty.vector_length = kLength;
+      const auto body = testutil::encode_body(empty, {mode, values, 7}).body;
+      EXPECT_EQ(body.size(), mode == IndexEncoding::kSeed ? 22u : 18u);
+
+      Arena arena;
+      PayloadPool pool;
+      decode_payload_into(full_body, pool.next(), arena);
+      pool.reset();
+      SparsePayload& recycled = pool.next();
+      decode_payload_into(body, recycled, arena);
+      SparsePayload fresh = testutil::decode_body(body);
+      for (const SparsePayload* decoded : {&fresh, &recycled}) {
+        EXPECT_FALSE(decoded->dense());
+        EXPECT_TRUE(decoded->indices.empty());
+        EXPECT_TRUE(decoded->values.empty());
+        const std::vector<WeightedContribution> contribs{{0.5, decoded}};
+        std::copy(model.begin(), model.end(), own.begin());
+        partial_average(own, 0.5, contribs, arena);
+        EXPECT_EQ(own, model) << "index mode " << static_cast<int>(mode);
+        for (const RobustAggKind kind :
+             {RobustAggKind::kNone, RobustAggKind::kTrimmedMean,
+              RobustAggKind::kMedian, RobustAggKind::kNormClip}) {
+          RobustAggConfig cfg;
+          cfg.kind = kind;
+          std::copy(model.begin(), model.end(), own.begin());
+          robust_partial_average(cfg, own, 0.5, contribs, {}, arena);
+          EXPECT_EQ(own, model) << "index mode " << static_cast<int>(mode)
+                                << ", rule " << robust_agg_name(kind);
+        }
+      }
+    }
+  }
+}
+
+TEST(Payload, SeedCountAboveLengthIsRejected) {
+  // A kSeed header cannot name more distinct indices than the vector has.
+  net::ByteWriter writer;
+  writer.write_u8(static_cast<std::uint8_t>(IndexEncoding::kSeed));
+  writer.write_u8(static_cast<std::uint8_t>(ValueEncoding::kRaw));
+  writer.write_u32(4);  // vector_length
+  writer.write_u32(5);  // count
+  writer.write_u64(1);  // seed
+  writer.write_f32_array(std::vector<float>(5, 1.0f));
+  SparsePayload out;
+  Arena arena;
+  EXPECT_THROW(decode_payload_into(writer.buffer(), out, arena),
+               std::runtime_error);
+}
+
 TEST(Payload, MakeMessageWiresAccounting) {
   SparsePayload payload;
   payload.vector_length = 100;
-  payload.indices = compress::random_indices(100, 10, 1);
+  payload.indices = testutil::sampled_indices(100, 10, 1);
   payload.values.assign(10, 2.0f);
-  const net::Message msg = make_message(3, 7, payload, {});
+  net::BufferPool pool;
+  compress::BitWriter bits;
+  const net::Message msg = make_message(3, 7, payload, {}, pool, bits);
   EXPECT_EQ(msg.sender, 3u);
   EXPECT_EQ(msg.round, 7u);
   EXPECT_GT(msg.metadata_bytes, 0u);
@@ -302,6 +405,7 @@ TEST(Payload, MakeMessageWiresAccounting) {
 // --------------------------------------------------------------- averaging
 
 TEST(PartialAverage, DenseReducesToWeightedMean) {
+  Arena arena;
   std::vector<float> own{1.0f, 1.0f};
   SparsePayload p1;
   p1.vector_length = 2;
@@ -310,25 +414,27 @@ TEST(PartialAverage, DenseReducesToWeightedMean) {
   p2.vector_length = 2;
   p2.values = {7.0f, 9.0f};
   const std::vector<WeightedContribution> contribs{{0.25, &p1}, {0.25, &p2}};
-  partial_average(own, 0.5, contribs);
+  partial_average(own, 0.5, contribs, arena);
   EXPECT_FLOAT_EQ(own[0], 0.5f * 1 + 0.25f * 3 + 0.25f * 7);
   EXPECT_FLOAT_EQ(own[1], 0.5f * 1 + 0.25f * 5 + 0.25f * 9);
 }
 
 TEST(PartialAverage, MissingCoordinatesKeepOwnValue) {
+  Arena arena;
   std::vector<float> own{1.0f, 2.0f, 3.0f};
   SparsePayload p;
   p.vector_length = 3;
   p.indices = {1};
   p.values = {10.0f};
   const std::vector<WeightedContribution> contribs{{0.5, &p}};
-  partial_average(own, 0.5, contribs);
+  partial_average(own, 0.5, contribs, arena);
   EXPECT_FLOAT_EQ(own[0], 1.0f);  // nobody contributed -> unchanged
   EXPECT_FLOAT_EQ(own[1], 6.0f);  // (0.5*2 + 0.5*10) / 1.0
   EXPECT_FLOAT_EQ(own[2], 3.0f);
 }
 
 TEST(PartialAverage, RenormalizesOverContributors) {
+  Arena arena;
   // Two sparse neighbors overlap on index 0 only.
   std::vector<float> own{0.0f, 0.0f};
   SparsePayload p1;
@@ -340,7 +446,7 @@ TEST(PartialAverage, RenormalizesOverContributors) {
   p2.indices = {0, 1};
   p2.values = {12.0f, 4.0f};
   const std::vector<WeightedContribution> contribs{{0.25, &p1}, {0.25, &p2}};
-  partial_average(own, 0.5, contribs);
+  partial_average(own, 0.5, contribs, arena);
   // idx0: (0.5*0 + 0.25*6 + 0.25*12) / 1.0 = 4.5
   EXPECT_FLOAT_EQ(own[0], 4.5f);
   // idx1: (0.5*0 + 0.25*4) / 0.75 = 4/3
@@ -348,6 +454,7 @@ TEST(PartialAverage, RenormalizesOverContributors) {
 }
 
 TEST(PartialAverage, ConvexityBound) {
+  Arena arena;
   // The averaged value never escapes [min, max] of the contributions.
   std::mt19937 rng(12);
   std::normal_distribution<float> dist(0.0f, 1.0f);
@@ -355,12 +462,12 @@ TEST(PartialAverage, ConvexityBound) {
   for (float& v : own) v = dist(rng);
   SparsePayload p;
   p.vector_length = 50;
-  p.indices = compress::random_indices(50, 20, 5);
+  p.indices = testutil::sampled_indices(50, 20, 5);
   p.values.resize(20);
   for (float& v : p.values) v = dist(rng);
   std::vector<float> before = own;
   const std::vector<WeightedContribution> contribs{{0.5, &p}};
-  partial_average(own, 0.5, contribs);
+  partial_average(own, 0.5, contribs, arena);
   for (std::size_t i = 0; i < p.indices.size(); ++i) {
     const std::size_t idx = p.indices[i];
     const float lo = std::min(before[idx], p.values[i]);
@@ -371,23 +478,25 @@ TEST(PartialAverage, ConvexityBound) {
 }
 
 TEST(PartialAverage, ValidatesInputs) {
+  Arena arena;
   std::vector<float> own{1.0f};
   SparsePayload wrong_len;
   wrong_len.vector_length = 7;
   wrong_len.values = {1, 2, 3, 4, 5, 6, 7};
   const std::vector<WeightedContribution> c1{{0.5, &wrong_len}};
-  EXPECT_THROW(partial_average(own, 0.5, c1), std::invalid_argument);
+  EXPECT_THROW(partial_average(own, 0.5, c1, arena), std::invalid_argument);
   const std::vector<WeightedContribution> c2{{0.5, nullptr}};
-  EXPECT_THROW(partial_average(own, 0.5, c2), std::invalid_argument);
+  EXPECT_THROW(partial_average(own, 0.5, c2, arena), std::invalid_argument);
   SparsePayload bad_idx;
   bad_idx.vector_length = 1;
   bad_idx.indices = {9};
   bad_idx.values = {1.0f};
   const std::vector<WeightedContribution> c3{{0.5, &bad_idx}};
-  EXPECT_THROW(partial_average(own, 0.5, c3), std::out_of_range);
+  EXPECT_THROW(partial_average(own, 0.5, c3, arena), std::out_of_range);
 }
 
 TEST(PartialAverageScaled, ScaleEqualsReweighting) {
+  Arena arena;
   // Scaling a contribution by s is exactly the same convex combination as
   // shrinking its mixing weight to s * w (numerator AND denominator).
   std::vector<float> scaled_own{1.0f, 2.0f};
@@ -398,13 +507,14 @@ TEST(PartialAverageScaled, ScaleEqualsReweighting) {
   const std::vector<WeightedContribution> contribs{{0.4, &p}};
   const std::vector<double> scales{0.5};
   partial_average(scaled_own, 0.6, contribs,
-                  std::span<const double>(scales));
+                  std::span<const double>(scales), arena);
   const std::vector<WeightedContribution> shrunk{{0.4 * 0.5, &p}};
-  partial_average(reweighted_own, 0.6, shrunk);
+  partial_average(reweighted_own, 0.6, shrunk, arena);
   EXPECT_EQ(scaled_own, reweighted_own);
 }
 
 TEST(PartialAverageScaled, StaysConvexAndRenormalized) {
+  Arena arena;
   // With scales < 1 the effective weights no longer sum to 1, but the
   // per-coordinate denominator renormalizes: the result is still a convex
   // combination of own value and contributions.
@@ -417,7 +527,7 @@ TEST(PartialAverageScaled, StaysConvexAndRenormalized) {
   p2.values = {20.0f};
   const std::vector<WeightedContribution> contribs{{0.25, &p1}, {0.25, &p2}};
   const std::vector<double> scales{0.5, 0.25};
-  partial_average(own, 0.5, contribs, std::span<const double>(scales));
+  partial_average(own, 0.5, contribs, std::span<const double>(scales), arena);
   // (0.5*0 + 0.125*10 + 0.0625*20) / (0.5 + 0.125 + 0.0625) = 2.5/0.6875
   EXPECT_NEAR(own[0], 2.5f / 0.6875f, 1e-5f);
   EXPECT_GE(own[0], 0.0f);
@@ -425,6 +535,7 @@ TEST(PartialAverageScaled, StaysConvexAndRenormalized) {
 }
 
 TEST(PartialAverageScaled, AllOnesIsBitIdenticalToLegacy) {
+  Arena arena;
   // scale == 1.0 multiplies by exactly 1.0 in IEEE arithmetic, so the
   // scaled overload with unit scales must produce the same bytes as the
   // legacy overload — the guarantee the weighted async mode's lambda = 1
@@ -436,17 +547,18 @@ TEST(PartialAverageScaled, AllOnesIsBitIdenticalToLegacy) {
   b = a;
   SparsePayload p;
   p.vector_length = 64;
-  p.indices = compress::random_indices(64, 32, 9);
+  p.indices = testutil::sampled_indices(64, 32, 9);
   p.values.resize(32);
   for (float& v : p.values) v = dist(rng);
   const std::vector<WeightedContribution> contribs{{0.37, &p}};
   const std::vector<double> ones{1.0};
-  partial_average(a, 0.63, contribs, std::span<const double>(ones));
-  partial_average(b, 0.63, contribs);
+  partial_average(a, 0.63, contribs, std::span<const double>(ones), arena);
+  partial_average(b, 0.63, contribs, arena);
   EXPECT_EQ(a, b);
 }
 
 TEST(PartialAverageScaled, ScaleCountMismatchThrows) {
+  Arena arena;
   std::vector<float> own{1.0f};
   SparsePayload p;
   p.vector_length = 1;
@@ -454,7 +566,8 @@ TEST(PartialAverageScaled, ScaleCountMismatchThrows) {
   const std::vector<WeightedContribution> contribs{{0.5, &p}};
   const std::vector<double> scales{0.5, 0.5};  // two scales, one contribution
   EXPECT_THROW(
-      partial_average(own, 0.5, contribs, std::span<const double>(scales)),
+      partial_average(own, 0.5, contribs, std::span<const double>(scales),
+                      arena),
       std::invalid_argument);
 }
 

@@ -21,16 +21,33 @@ namespace {
 
 // ------------------------------------------------------------ quantization
 
+compress::QuantizedVector quantized(std::span<const float> values,
+                                    std::uint32_t levels,
+                                    std::mt19937_64& rng) {
+  compress::QuantizedVector q;
+  compress::qsgd_quantize_into(values, levels, rng, q);
+  return q;
+}
+
+std::vector<float> dequantized(const compress::QuantizedVector& q) {
+  std::vector<float> out;
+  compress::qsgd_dequantize_into(q, out);
+  return out;
+}
+
 TEST(Qsgd, RoundTripSerialization) {
   std::mt19937_64 rng(1);
   std::vector<float> values(257);
   std::normal_distribution<float> dist(0.0f, 1.0f);
   std::mt19937 vrng(2);
   for (float& v : values) v = dist(vrng);
-  const auto q = compress::qsgd_quantize(values, 15, rng);
-  const auto bytes = compress::qsgd_serialize(q);
+  const auto q = quantized(values, 15, rng);
+  net::ByteWriter writer;
+  compress::qsgd_serialize_into(q, writer);
+  const std::vector<std::uint8_t>& bytes = writer.buffer();
   EXPECT_EQ(bytes.size(), compress::qsgd_wire_size(q));
-  const auto back = compress::qsgd_deserialize(bytes);
+  compress::QuantizedVector back;
+  compress::qsgd_deserialize_into(bytes, back);
   EXPECT_EQ(back.norm, q.norm);
   EXPECT_EQ(back.levels, q.levels);
   EXPECT_EQ(back.count, q.count);
@@ -40,8 +57,8 @@ TEST(Qsgd, RoundTripSerialization) {
 TEST(Qsgd, DequantizedValuesBoundedByNorm) {
   std::mt19937_64 rng(3);
   std::vector<float> values{1.0f, -2.0f, 0.5f, 0.0f};
-  const auto q = compress::qsgd_quantize(values, 4, rng);
-  const auto back = compress::qsgd_dequantize(q);
+  const auto q = quantized(values, 4, rng);
+  const auto back = dequantized(q);
   ASSERT_EQ(back.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_LE(std::fabs(back[i]), q.norm + 1e-5f);
@@ -62,8 +79,7 @@ TEST(Qsgd, UnbiasedInExpectation) {
   const int trials = 4000;
   std::mt19937_64 rng(7);
   for (int t = 0; t < trials; ++t) {
-    const auto back =
-        compress::qsgd_dequantize(compress::qsgd_quantize(values, 4, rng));
+    const auto back = dequantized(quantized(values, 4, rng));
     for (std::size_t i = 0; i < values.size(); ++i) mean[i] += back[i];
   }
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -78,8 +94,7 @@ TEST(Qsgd, MoreLevelsLessError) {
   for (float& v : values) v = dist(vrng);
   auto error = [&](std::uint32_t levels) {
     std::mt19937_64 rng(9);
-    const auto back =
-        compress::qsgd_dequantize(compress::qsgd_quantize(values, levels, rng));
+    const auto back = dequantized(quantized(values, levels, rng));
     double err = 0.0;
     for (std::size_t i = 0; i < values.size(); ++i) {
       err += (back[i] - values[i]) * (back[i] - values[i]);
@@ -94,8 +109,8 @@ TEST(Qsgd, WireSizeScalesWithLevels) {
   std::vector<float> values(1000, 0.5f);
   std::mt19937_64 rng(11);
   // 1 level: 1 sign + 1 level bit = 2 bits/elem; 15 levels: 1 + 4 bits.
-  const auto q1 = compress::qsgd_quantize(values, 1, rng);
-  const auto q15 = compress::qsgd_quantize(values, 15, rng);
+  const auto q1 = quantized(values, 1, rng);
+  const auto q15 = quantized(values, 15, rng);
   EXPECT_NEAR(static_cast<double>(q1.packed.size()), 2.0 * 1000 / 8, 2.0);
   EXPECT_NEAR(static_cast<double>(q15.packed.size()), 5.0 * 1000 / 8, 2.0);
   // Both are far below the 4000-byte float payload.
@@ -105,7 +120,9 @@ TEST(Qsgd, WireSizeScalesWithLevels) {
 TEST(Qsgd, ZeroLevelsThrows) {
   std::mt19937_64 rng(1);
   std::vector<float> values{1.0f};
-  EXPECT_THROW(compress::qsgd_quantize(values, 0, rng), std::invalid_argument);
+  compress::QuantizedVector q;
+  EXPECT_THROW(compress::qsgd_quantize_into(values, 0, rng, q),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------- choco with quantizer

@@ -38,9 +38,15 @@ TEST(Serializer, ArraysRoundTrip) {
   w.write_bytes(blob);
   const auto bytes = std::move(w).take();
   ByteReader r(bytes);
-  EXPECT_EQ(r.read_f32_array(), floats);
-  EXPECT_EQ(r.read_u32_array(), ints);
-  EXPECT_EQ(r.read_bytes(), blob);
+  std::vector<float> floats_back;
+  r.read_f32_array_into(floats_back);
+  EXPECT_EQ(floats_back, floats);
+  std::vector<std::uint32_t> ints_back;
+  r.read_u32_array_into(ints_back);
+  EXPECT_EQ(ints_back, ints);
+  const auto blob_back = r.view_bytes();
+  EXPECT_EQ(std::vector<std::uint8_t>(blob_back.begin(), blob_back.end()),
+            blob);
 }
 
 TEST(Serializer, TruncatedReadThrows) {
@@ -50,7 +56,8 @@ TEST(Serializer, TruncatedReadThrows) {
   ByteReader r(bytes);
   EXPECT_THROW(r.read_u32(), std::out_of_range);
   ByteReader r2(bytes);
-  EXPECT_THROW(r2.read_f32_array(), std::out_of_range);
+  std::vector<float> floats;
+  EXPECT_THROW(r2.read_f32_array_into(floats), std::out_of_range);
 }
 
 TEST(Message, WireSizeAndSplit) {

@@ -148,7 +148,8 @@ TEST(TensorZeroFill, Works) {
 TEST(TensorMatmul, KnownProduct) {
   Tensor a = Tensor::from({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor b = Tensor::from({3, 2}, {7, 8, 9, 10, 11, 12});
-  Tensor c = matmul(a, b);
+  Tensor c;
+  matmul_into(c, a, b);
   EXPECT_TRUE(allclose(c, Tensor::from({2, 2}, {58, 64, 139, 154})));
 }
 
@@ -156,16 +157,17 @@ TEST(TensorMatmul, TransposedVariantsAgree) {
   std::mt19937 rng(3);
   Tensor a = Tensor::normal({4, 5}, 0, 1, rng);
   Tensor b = Tensor::normal({5, 6}, 0, 1, rng);
-  Tensor direct = matmul(a, b);
-  Tensor via_tn = matmul_tn(a.transposed(), b);
-  Tensor via_nt = matmul_nt(a, b.transposed());
+  Tensor direct, via_tn, via_nt;
+  matmul_into(direct, a, b);
+  matmul_tn_into(via_tn, a.transposed(), b);
+  matmul_nt_into(via_nt, a, b.transposed());
   EXPECT_TRUE(allclose(direct, via_tn, 1e-4f));
   EXPECT_TRUE(allclose(direct, via_nt, 1e-4f));
 }
 
 TEST(TensorMatmul, MismatchThrows) {
-  Tensor a({2, 3}), b({2, 3});
-  EXPECT_THROW(matmul(a, b), std::invalid_argument);
+  Tensor a({2, 3}), b({2, 3}), c;
+  EXPECT_THROW(matmul_into(c, a, b), std::invalid_argument);
 }
 
 struct MatmulSize {
@@ -179,7 +181,8 @@ TEST_P(MatmulParam, MatchesNaiveReference) {
   std::mt19937 rng(m * 100 + k * 10 + n);
   Tensor a = Tensor::normal({m, k}, 0, 1, rng);
   Tensor b = Tensor::normal({k, n}, 0, 1, rng);
-  Tensor c = matmul(a, b);
+  Tensor c;
+  matmul_into(c, a, b);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       double acc = 0.0;

@@ -1,15 +1,55 @@
 // Shared test fixtures: a quadratic model with a known global optimum (the
-// classic consensus-optimization testbed for decentralized SGD) and a dummy
-// dataset to drive it through the Sampler machinery.
+// classic consensus-optimization testbed for decentralized SGD), a dummy
+// dataset to drive it through the Sampler machinery, and one-shot wrappers
+// around the payload codec's scratch API.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
+#include "compress/topk.hpp"
+#include "core/sparse_payload.hpp"
 #include "data/dataset.hpp"
+#include "net/serializer.hpp"
 #include "nn/model.hpp"
 
 namespace jwins::testutil {
+
+/// `k` seeded random indices from [0, n), through a fresh arena.
+inline std::vector<std::uint32_t> sampled_indices(std::size_t n, std::size_t k,
+                                                  std::uint64_t seed) {
+  core::Arena arena;
+  std::vector<std::uint32_t> out;
+  compress::random_indices_into(n, k, seed, out, arena);
+  return out;
+}
+
+/// A payload encoded into a fresh buffer: the body bytes and the metadata
+/// byte count core::encode_payload_into reports.
+struct EncodedBody {
+  std::vector<std::uint8_t> body;
+  std::size_t metadata_bytes = 0;
+};
+
+inline EncodedBody encode_body(const core::PayloadView& payload,
+                               const core::PayloadOptions& options) {
+  net::ByteWriter writer;
+  compress::BitWriter bits;
+  EncodedBody out;
+  out.metadata_bytes = core::encode_payload_into(payload, options, writer, bits);
+  out.body = std::move(writer).take();
+  return out;
+}
+
+/// Decodes `body` into a fresh payload.
+inline core::SparsePayload decode_body(std::span<const std::uint8_t> body) {
+  core::SparsePayload out;
+  core::Arena arena;
+  core::decode_payload_into(body, out, arena);
+  return out;
+}
 
 /// Live heap bytes currently held through the global operator new, tracked
 /// by test_arena.cpp's counting-allocator hook (the single new/delete

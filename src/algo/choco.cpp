@@ -113,60 +113,32 @@ void ChocoNode::aggregate(net::Network& network, const graph::Graph& g,
   }
   // s += Σ_j w_ij q_j (neighbor contributions; under weighted async mode
   // the mixing weight additionally carries the λ^staleness age decay —
-  // exactly weight_of() outside it).
-  if (robust_agg().kind == core::RobustAggKind::kNone) {
-    for (const net::Message& msg : inbox) {
-      const double w = contribution_weight(g, weights, msg, round);
-      if (options_.compressor == Compressor::kQsgd) {
-        // Zero-copy: the packed bitstream is read in place from the
-        // refcounted body, never materialized into scratch.
-        const compress::QuantizedView q = compress::qsgd_view(msg.body);
-        compress::qsgd_dequantize_into(q, scratch.floats);
-        if (scratch.floats.size() != s_.size()) {
-          throw std::out_of_range("ChocoNode: quantized vector length mismatch");
-        }
-        for (std::size_t i = 0; i < scratch.floats.size(); ++i) {
-          s_[i] += static_cast<float>(w * scratch.floats[i]);
-        }
-      } else {
-        core::SparsePayload& payload = scratch.payloads.next();
-        core::decode_payload_into(msg.body, payload, scratch.arena);
-        for (std::size_t i = 0; i < payload.indices.size(); ++i) {
-          const std::uint32_t idx = payload.indices[i];
-          if (idx >= s_.size()) {
-            throw std::out_of_range("ChocoNode: received index out of range");
-          }
-          s_[idx] += static_cast<float>(w * payload.values[i]);
-        }
+  // exactly weight_of() outside it). Every neighbor diff is materialized
+  // first (the order-statistic rules need them simultaneously; pool
+  // references are stable only once all payloads are decoded), then merged
+  // through the configured rule — under kNone the plain weighted sum, in
+  // inbox order.
+  for (const net::Message& msg : inbox) {
+    core::SparsePayload& payload = scratch.payloads.next();
+    if (options_.compressor == Compressor::kQsgd) {
+      // The packed bitstream is read in place from the refcounted body.
+      const compress::QuantizedView q = compress::qsgd_view(msg.body);
+      compress::qsgd_dequantize_into(q, payload.values);
+      if (payload.values.size() != s_.size()) {
+        throw std::out_of_range("ChocoNode: quantized vector length mismatch");
       }
+      payload.vector_length = static_cast<std::uint32_t>(s_.size());
+    } else {
+      core::decode_payload_into(msg.body, payload, scratch.arena);
     }
-  } else {
-    // Robust path: materialize every neighbor diff first (the order-
-    // statistic rules need them simultaneously; pool references are stable
-    // only once all payloads are decoded), then merge through the
-    // configured rule. qsgd payloads dequantize into pool slots here
-    // instead of the streaming scratch buffer.
-    for (const net::Message& msg : inbox) {
-      core::SparsePayload& payload = scratch.payloads.next();
-      if (options_.compressor == Compressor::kQsgd) {
-        const compress::QuantizedView q = compress::qsgd_view(msg.body);
-        compress::qsgd_dequantize_into(q, payload.values);
-        if (payload.values.size() != s_.size()) {
-          throw std::out_of_range("ChocoNode: quantized vector length mismatch");
-        }
-        payload.vector_length = static_cast<std::uint32_t>(s_.size());
-      } else {
-        core::decode_payload_into(msg.body, payload, scratch.arena);
-      }
-    }
-    for (std::size_t i = 0; i < inbox.size(); ++i) {
-      scratch.contributions.push_back(
-          {contribution_weight(g, weights, inbox[i], round),
-           &scratch.payloads[i]});
-    }
-    core::robust_accumulate_diffs(robust_agg(), s_, scratch.contributions,
-                                  scratch.arena, &robust_counters_mutable());
   }
+  for (std::size_t i = 0; i < inbox.size(); ++i) {
+    scratch.contributions.push_back(
+        {contribution_weight(g, weights, inbox[i], round),
+         &scratch.payloads[i]});
+  }
+  core::robust_accumulate_diffs(robust_agg(), s_, scratch.contributions,
+                                scratch.arena, &robust_counters_mutable());
   // Consensus step: x += γ (s - x̂) where s - x̂ = Σ_j w_ij (x̂_j - x̂_i).
   const std::span<float> x = scratch.arena.alloc<float>(param_count());
   flat_params_into(x);

@@ -49,7 +49,6 @@ class ChocoNode final : public DlNode {
   // Own compressed difference of the current round, applied in aggregate().
   std::vector<std::uint32_t> own_indices_;
   std::vector<float> own_values_;
-  bool initialized_ = false;
 };
 
 }  // namespace jwins::algo

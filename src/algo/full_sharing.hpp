@@ -1,6 +1,7 @@
 // Full-sharing D-PSGD baseline: every round the entire model is exchanged
 // with all neighbors and averaged with Metropolis-Hastings weights (Lian et
-// al. 2017). This is the paper's accuracy upper-bound baseline.
+// al. 2017) by DlNode's default aggregate(). This is the paper's accuracy
+// upper-bound baseline.
 #pragma once
 
 #include "algo/node.hpp"
@@ -17,9 +18,6 @@ class FullSharingNode final : public DlNode {
   void share(net::Network& network, const graph::Graph& g,
              const graph::MixingWeights& weights, std::uint32_t round,
              core::RoundScratch& scratch) override;
-  void aggregate(net::Network& network, const graph::Graph& g,
-                 const graph::MixingWeights& weights, std::uint32_t round,
-                 core::RoundScratch& scratch) override;
 
  private:
   core::ValueEncoding value_encoding_;

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "compress/topk.hpp"
-#include "core/averaging.hpp"
 
 namespace jwins::algo {
 
@@ -85,27 +84,9 @@ void JwinsNode::aggregate(net::Network& network, const graph::Graph& g,
                           const graph::MixingWeights& weights,
                           std::uint32_t round, core::RoundScratch& scratch) {
   scratch.reset();
-  network.drain_into(rank(), scratch.inbox);
-  const std::vector<net::Message>& inbox = scratch.inbox;
-  for (const net::Message& msg : inbox) {
-    core::decode_payload_into(msg.body, scratch.payloads.next(), scratch.arena);
-  }
-  // Pool references are stable once all payloads are decoded. Staleness
-  // scales are all exactly 1.0 outside weighted async mode, in which case
-  // the unscaled (bit-identical legacy) overload runs.
-  bool scaled = false;
-  for (std::size_t i = 0; i < inbox.size(); ++i) {
-    scratch.contributions.push_back(
-        {weight_of(g, weights, rank(), inbox[i].sender), &scratch.payloads[i]});
-    const double scale = staleness_scale(inbox[i].round, round);
-    scratch.contribution_scales.push_back(scale);
-    scaled = scaled || scale != 1.0;
-  }
   // Algorithm 1, line 10: average received wavelet coefficients with our
   // own (through the robust rule when one is configured).
-  robust_average(own_coeffs_, weights.self_weight[rank()],
-                 scratch.contributions, scratch.contribution_scales, scaled,
-                 scratch.arena);
+  average_inbox(network, g, weights, round, own_coeffs_, scratch);
   // Line 11: invert back to the parameter domain.
   const std::span<float> x_next = scratch.arena.alloc<float>(param_count());
   ranker_.inverse_into(own_coeffs_, x_next, scratch.dwt);

@@ -97,25 +97,18 @@ double DlNode::weight_of(const graph::Graph& g,
   return 0.0;
 }
 
-double DlNode::staleness_scale(std::uint32_t msg_round,
-                               std::uint32_t round) const noexcept {
-  // Messages from the current round or ahead of it (possible under free
-  // aggregation) carry no staleness; decay applies only to genuinely old
-  // tags. The >= 1.0 short-circuit keeps the default path branch-only.
-  if (staleness_decay_ >= 1.0 || msg_round >= round) return 1.0;
-  return std::pow(staleness_decay_,
-                  static_cast<double>(round - msg_round));
-}
-
 double DlNode::contribution_weight(const graph::Graph& g,
                                    const graph::MixingWeights& weights,
                                    const net::Message& msg,
                                    std::uint32_t round) const {
   const double base = weight_of(g, weights, rank_, msg.sender);
-  const double scale = staleness_scale(msg.round, round);
-  // scale == 1.0 exactly on the undecayed path: return the unmultiplied
-  // double so sync/barrier aggregation stays bit-identical.
-  return scale == 1.0 ? base : base * scale;
+  // Messages from the current round or ahead of it (possible under free
+  // aggregation) carry no staleness; decay applies only to genuinely old
+  // tags. Returning the unmultiplied double keeps sync/barrier aggregation
+  // bit-identical.
+  if (staleness_decay_ >= 1.0 || msg.round >= round) return base;
+  return base *
+         std::pow(staleness_decay_, static_cast<double>(round - msg.round));
 }
 
 void DlNode::corrupt_wire_values(std::span<float> values, std::uint32_t round,
@@ -142,26 +135,43 @@ void DlNode::corrupt_wire_values(std::span<float> values, std::uint32_t round,
   }
 }
 
-void DlNode::robust_average(
-    std::span<float> own, double self_weight,
-    std::span<const core::WeightedContribution> contributions,
-    std::span<const double> contribution_scales, bool scaled,
-    core::Arena& arena) {
-  if (robust_.kind == core::RobustAggKind::kNone) {
-    // Exactly the overload selection the algorithms performed before the
-    // robust layer existed — golden runs stay byte-identical.
-    if (scaled) {
-      core::partial_average(own, self_weight, contributions,
-                            contribution_scales, arena);
-    } else {
-      core::partial_average(own, self_weight, contributions, arena);
-    }
-    return;
+void DlNode::average_inbox(net::Network& network, const graph::Graph& g,
+                           const graph::MixingWeights& weights,
+                           std::uint32_t round, std::span<float> own,
+                           core::RoundScratch& scratch) {
+  network.drain_into(rank_, scratch.inbox);
+  const std::vector<net::Message>& inbox = scratch.inbox;
+  for (const net::Message& msg : inbox) {
+    core::decode_payload_into(msg.body, scratch.payloads.next(), scratch.arena);
   }
-  core::robust_partial_average(
-      robust_, own, self_weight, contributions,
-      scaled ? contribution_scales : std::span<const double>{}, arena,
-      &robust_counters_);
+  // Pool references are stable once all payloads are decoded.
+  for (std::size_t i = 0; i < inbox.size(); ++i) {
+    scratch.contributions.push_back(
+        {contribution_weight(g, weights, inbox[i], round),
+         &scratch.payloads[i]});
+  }
+  const double self_weight = weights.self_weight[rank_];
+  // robust_partial_average(kNone) forwards to partial_average too; calling
+  // it directly keeps the call visible across translation units (the
+  // repository benchmark counts it by link-wrapping the symbol).
+  if (robust_.kind == core::RobustAggKind::kNone) {
+    core::partial_average(own, self_weight, scratch.contributions,
+                          scratch.arena);
+  } else {
+    core::robust_partial_average(robust_, own, self_weight,
+                                 scratch.contributions, scratch.arena,
+                                 &robust_counters_);
+  }
+}
+
+void DlNode::aggregate(net::Network& network, const graph::Graph& g,
+                       const graph::MixingWeights& weights,
+                       std::uint32_t round, core::RoundScratch& scratch) {
+  scratch.reset();
+  const std::span<float> x = scratch.arena.alloc<float>(param_count());
+  flat_params_into(x);
+  average_inbox(network, g, weights, round, x, scratch);
+  set_flat_params(x);
 }
 
 }  // namespace jwins::algo

@@ -6,13 +6,22 @@
 // steps on the node's partition), then share() (messages go out through the
 // simulated net::Network), then aggregate() (mailboxes are drained and
 // models merged under the topology's mixing weights). Algorithms differ
-// only in what share()/aggregate() put on the wire — full_sharing sends the
-// dense model, random_sampling a seeded index sample, choco an
+// only in what share() puts on the wire — full_sharing sends the dense
+// model, random_sampling a seeded index sample, choco an
 // error-feedback-compressed difference, and jwins_node the wavelet-ranked
 // randomized-cut-off payload of Algorithm 1. JWINS' claim is precisely that
 // it is independent of the rest of the DL stack: DlNode gives every
 // algorithm the identical model/optimizer/data substrate so byte and
 // accuracy comparisons isolate the communication policy.
+//
+// The merge is shared too. average_inbox() is Algorithm 1's line 10 for
+// every payload-averaging algorithm: drain the mailbox, decode each payload,
+// weigh it with contribution_weight() (w_ij, times lambda^s under weighted
+// async mixing) and partially average it into a dense vector through the
+// configured robust rule. The default aggregate() applies it to the flat
+// model, which is all full_sharing and random_sampling need; jwins_node
+// applies it to its wavelet coefficients and then inverts, while choco and
+// power_gossip merge differences and override aggregate() entirely.
 #pragma once
 
 #include <cstdint>
@@ -99,11 +108,11 @@ class DlNode {
                      core::RoundScratch& scratch) = 0;
 
   /// Drains the mailbox and merges neighbor contributions into the model.
-  /// Same scratch contract as share().
+  /// Same scratch contract as share(). The default partially averages the
+  /// received payloads into the flat parameters (average_inbox()).
   virtual void aggregate(net::Network& network, const graph::Graph& g,
                          const graph::MixingWeights& weights,
-                         std::uint32_t round,
-                         core::RoundScratch& scratch) = 0;
+                         std::uint32_t round, core::RoundScratch& scratch);
 
   nn::SupervisedModel& model() noexcept { return *model_; }
 
@@ -122,9 +131,9 @@ class DlNode {
 
   /// Staleness-weighted mixing (sim::AsyncMode::kWeighted): a contribution
   /// tagged s rounds before the aggregating round mixes with weight
-  /// w_ij * lambda^s. The default lambda of 1.0 makes every scaling helper
-  /// an exact no-op (multiplying by 1.0 is exact in IEEE arithmetic), so
-  /// the synchronous and barrier paths stay bit-identical.
+  /// w_ij * lambda^s (contribution_weight()). The default lambda of 1.0
+  /// leaves every weight untouched, so the synchronous and barrier paths
+  /// stay bit-identical.
   void set_staleness_decay(double lambda) noexcept { staleness_decay_ = lambda; }
   double staleness_decay() const noexcept { return staleness_decay_; }
 
@@ -162,18 +171,23 @@ class DlNode {
                           const graph::MixingWeights& weights,
                           std::uint32_t receiver, std::uint32_t sender);
 
-  /// lambda^(round - msg_round) under the configured decay; exactly 1.0
-  /// when no decay is set or the message is current/future-tagged.
-  double staleness_scale(std::uint32_t msg_round,
-                         std::uint32_t round) const noexcept;
-
-  /// The mixing weight of `msg` at aggregation time: weight_of() scaled by
-  /// staleness_scale(). With the default decay this IS weight_of() — same
-  /// double, no extra arithmetic.
+  /// The mixing weight of `msg` at aggregation time: weight_of() times
+  /// lambda^(round - msg.round). This is the one place the staleness decay
+  /// enters aggregation. With no decay set, or a current/future-tagged
+  /// message, it IS weight_of() — same double, no extra arithmetic.
   double contribution_weight(const graph::Graph& g,
                              const graph::MixingWeights& weights,
                              const net::Message& msg,
                              std::uint32_t round) const;
+
+  /// Algorithm 1, line 10: drains this node's mailbox into scratch.inbox,
+  /// decodes every payload, weighs each with contribution_weight() and
+  /// partially averages them into `own` (self weight w_ii) under the
+  /// configured robust rule. The caller resets `scratch` at the top of
+  /// aggregate(); `own` may be an arena span allocated after that reset.
+  void average_inbox(net::Network& network, const graph::Graph& g,
+                     const graph::MixingWeights& weights, std::uint32_t round,
+                     std::span<float> own, core::RoundScratch& scratch);
 
   /// Fresh counter-based random stream for this node's draws in `round`.
   /// A pure function of (experiment seed, rank, round, salt): the k-th draw
@@ -201,15 +215,6 @@ class DlNode {
     corrupted_messages_ += static_cast<std::uint64_t>(messages);
   }
 
-  /// Routes Algorithm 1's partial averaging through the configured robust
-  /// rule. kNone picks the exact overload the pre-adversarial code called
-  /// (scaled only when a scale differs from 1.0), so golden runs stay
-  /// byte-identical.
-  void robust_average(std::span<float> own, double self_weight,
-                      std::span<const core::WeightedContribution> contributions,
-                      std::span<const double> contribution_scales, bool scaled,
-                      core::Arena& arena);
-
   const core::RobustAggConfig& robust_agg() const noexcept { return robust_; }
   core::RobustAggCounters& robust_counters_mutable() noexcept {
     return robust_counters_;
@@ -221,7 +226,7 @@ class DlNode {
   data::Sampler sampler_;
   TrainConfig config_;
   nn::Sgd optimizer_;
-  double staleness_decay_ = 1.0;  ///< 1.0 = no decay (exact no-op scaling)
+  double staleness_decay_ = 1.0;  ///< 1.0 = no decay
   bool byzantine_ = false;
   ByzantineMode byzantine_mode_ = ByzantineMode::kSignFlip;
   double byzantine_scale_ = 1.0;

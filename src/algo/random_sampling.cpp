@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "compress/topk.hpp"
-#include "core/averaging.hpp"
 
 namespace jwins::algo {
 
@@ -55,34 +54,6 @@ void RandomSamplingNode::share(net::Network& network, const graph::Graph& g,
   for (std::size_t j : g.neighbors(rank())) {
     network.send(static_cast<std::uint32_t>(j), msg);
   }
-}
-
-void RandomSamplingNode::aggregate(net::Network& network, const graph::Graph& g,
-                                   const graph::MixingWeights& weights,
-                                   std::uint32_t round,
-                                   core::RoundScratch& scratch) {
-  scratch.reset();
-  network.drain_into(rank(), scratch.inbox);
-  const std::vector<net::Message>& inbox = scratch.inbox;
-  for (const net::Message& msg : inbox) {
-    core::decode_payload_into(msg.body, scratch.payloads.next(), scratch.arena);
-  }
-  // Pool references are stable once all payloads are decoded. Staleness
-  // scales are all exactly 1.0 outside weighted async mode, in which case
-  // the unscaled (bit-identical legacy) overload runs.
-  bool scaled = false;
-  for (std::size_t i = 0; i < inbox.size(); ++i) {
-    scratch.contributions.push_back(
-        {weight_of(g, weights, rank(), inbox[i].sender), &scratch.payloads[i]});
-    const double scale = staleness_scale(inbox[i].round, round);
-    scratch.contribution_scales.push_back(scale);
-    scaled = scaled || scale != 1.0;
-  }
-  const std::span<float> x = scratch.arena.alloc<float>(param_count());
-  flat_params_into(x);
-  robust_average(x, weights.self_weight[rank()], scratch.contributions,
-                 scratch.contribution_scales, scaled, scratch.arena);
-  set_flat_params(x);
 }
 
 }  // namespace jwins::algo

@@ -1,7 +1,7 @@
 // Random-sampling sparsification baseline (paper §II-B2a): a fixed fraction
 // of parameter indices is drawn each round from a shared-seed PRNG, so the
 // metadata cost collapses to one 8-byte seed. Aggregation is partial
-// weighted averaging in the parameter domain.
+// weighted averaging in the parameter domain (DlNode's default aggregate()).
 #pragma once
 
 #include "algo/node.hpp"
@@ -21,9 +21,6 @@ class RandomSamplingNode final : public DlNode {
   void share(net::Network& network, const graph::Graph& g,
              const graph::MixingWeights& weights, std::uint32_t round,
              core::RoundScratch& scratch) override;
-  void aggregate(net::Network& network, const graph::Graph& g,
-                 const graph::MixingWeights& weights, std::uint32_t round,
-                 core::RoundScratch& scratch) override;
 
  private:
   double fraction_;

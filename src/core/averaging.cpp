@@ -122,11 +122,6 @@ void check_contribution(const WeightedContribution& c, std::size_t n,
   }
 }
 
-double effective_weight(const WeightedContribution& c,
-                        std::span<const double> scales, std::size_t k) {
-  return scales.empty() ? c.weight : c.weight * scales[k];
-}
-
 /// Groups every (coordinate, supplier) entry by coordinate: counting sort
 /// over the payload index lists. `with_own` seeds each coordinate with
 /// (own[i], self_weight) as its first entry. Returns the entries span;
@@ -134,9 +129,8 @@ double effective_weight(const WeightedContribution& c,
 /// insertion order (own first, then contribution order).
 std::span<RobustEntry> group_by_coordinate(
     std::span<const float> own, double self_weight, bool with_own,
-    std::span<const WeightedContribution> contributions,
-    std::span<const double> scales, Arena& arena, const char* who,
-    std::span<std::size_t>& offsets) {
+    std::span<const WeightedContribution> contributions, Arena& arena,
+    const char* who, std::span<std::size_t>& offsets) {
   const std::size_t n = own.size();
   offsets = arena.alloc<std::size_t>(n + 1);
   const std::span<std::size_t> cursor = arena.alloc<std::size_t>(n);
@@ -161,17 +155,15 @@ std::span<RobustEntry> group_by_coordinate(
     cursor[i] = offsets[i];
     if (with_own) entries[cursor[i]++] = {own[i], self_weight};
   }
-  for (std::size_t k = 0; k < contributions.size(); ++k) {
-    const WeightedContribution& c = contributions[k];
-    const double w = effective_weight(c, scales, k);
+  for (const WeightedContribution& c : contributions) {
     const SparsePayload& p = *c.payload;
     if (p.dense()) {
       for (std::size_t i = 0; i < n; ++i) {
-        entries[cursor[i]++] = {p.values[i], w};
+        entries[cursor[i]++] = {p.values[i], c.weight};
       }
     } else {
       for (std::size_t i = 0; i < p.indices.size(); ++i) {
-        entries[cursor[p.indices[i]]++] = {p.values[i], w};
+        entries[cursor[p.indices[i]]++] = {p.values[i], c.weight};
       }
     }
   }
@@ -239,24 +231,11 @@ const char* robust_agg_name(RobustAggKind kind) {
 void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
                             double self_weight,
                             std::span<const WeightedContribution> contributions,
-                            std::span<const double> contribution_scales,
                             Arena& arena, RobustAggCounters* counters) {
   const std::size_t n = own.size();
-  if (!contribution_scales.empty() &&
-      contribution_scales.size() != contributions.size()) {
-    throw std::invalid_argument(
-        "robust_partial_average: contribution_scales size mismatch");
-  }
   switch (config.kind) {
     case RobustAggKind::kNone:
-      // The exact legacy path — same overload selection the algorithms used
-      // before the robust layer existed.
-      if (contribution_scales.empty()) {
-        partial_average(own, self_weight, contributions, arena);
-      } else {
-        partial_average(own, self_weight, contributions, contribution_scales,
-                        arena);
-      }
+      partial_average(own, self_weight, contributions, arena);
       return;
     case RobustAggKind::kNormClip: {
       const std::span<const double> factors =
@@ -270,7 +249,7 @@ void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
       }
       for (std::size_t k = 0; k < contributions.size(); ++k) {
         const WeightedContribution& c = contributions[k];
-        const double w = effective_weight(c, contribution_scales, k);
+        const double w = c.weight;
         const double f = factors[k];
         const SparsePayload& p = *c.payload;
         // f == 1.0 passes the received value through bit-identically, so a
@@ -304,8 +283,8 @@ void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
     case RobustAggKind::kMedian: {
       std::span<std::size_t> offsets;
       const std::span<RobustEntry> entries = group_by_coordinate(
-          own, self_weight, /*with_own=*/true, contributions,
-          contribution_scales, arena, "robust_partial_average", offsets);
+          own, self_weight, /*with_own=*/true, contributions, arena,
+          "robust_partial_average", offsets);
       for (std::size_t i = 0; i < n; ++i) {
         RobustEntry* slice = entries.data() + offsets[i];
         const std::size_t m = offsets[i + 1] - offsets[i];
@@ -390,8 +369,8 @@ void robust_accumulate_diffs(const RobustAggConfig& config,
     case RobustAggKind::kMedian: {
       std::span<std::size_t> offsets;
       const std::span<RobustEntry> entries = group_by_coordinate(
-          acc, /*self_weight=*/0.0, /*with_own=*/false, contributions, {},
-          arena, "robust_accumulate_diffs", offsets);
+          acc, /*self_weight=*/0.0, /*with_own=*/false, contributions, arena,
+          "robust_accumulate_diffs", offsets);
       for (std::size_t i = 0; i < n; ++i) {
         RobustEntry* slice = entries.data() + offsets[i];
         const std::size_t m = offsets[i + 1] - offsets[i];

@@ -62,14 +62,15 @@ void partial_average(std::span<float> own, double self_weight,
                      std::span<const WeightedContribution> contributions,
                      Arena& arena);
 
-/// Per-contribution scaled variant (staleness-weighted asynchronous mixing,
-/// sim::AsyncMode::kWeighted): contribution i participates with effective
-/// weight contributions[i].weight * contribution_scales[i] in BOTH the
-/// numerator and the denominator, so the result remains a convex
-/// combination — the weights still renormalize to 1 per coefficient, decay
-/// merely shifts mass from stale contributors toward the rest. Requires
-/// contribution_scales.size() == contributions.size(); throws otherwise.
-/// Same arena contract as above.
+/// Per-contribution scaled variant: contribution i participates with
+/// effective weight contributions[i].weight * contribution_scales[i] in BOTH
+/// the numerator and the denominator, so the result remains a convex
+/// combination — the weights still renormalize to 1 per coefficient. That
+/// is exactly averaging with the pre-multiplied weights, which is how the
+/// staleness decay of weighted asynchronous mixing reaches the overload
+/// above (algo::DlNode::contribution_weight); this overload has no caller
+/// on the round path. Requires contribution_scales.size() ==
+/// contributions.size(); throws otherwise. Same arena contract as above.
 void partial_average(std::span<float> own, double self_weight,
                      std::span<const WeightedContribution> contributions,
                      std::span<const double> contribution_scales,
@@ -93,13 +94,12 @@ void partial_average(std::span<float> own, double self_weight,
 ///    then flow through the ordinary partial average. Contributions inside
 ///    the sphere pass through untouched (bit-identical values).
 ///
-/// `contribution_scales` follows the partial_average contract (empty = no
-/// staleness decay). Temporaries come from `arena`; `counters` (optional)
-/// accumulates what the rule discarded or shrank.
+/// Every rule weighs contribution i by contributions[i].weight alone (any
+/// staleness decay is already folded in). Temporaries come from `arena`;
+/// `counters` (optional) accumulates what the rule discarded or shrank.
 void robust_partial_average(const RobustAggConfig& config, std::span<float> own,
                             double self_weight,
                             std::span<const WeightedContribution> contributions,
-                            std::span<const double> contribution_scales,
                             Arena& arena,
                             RobustAggCounters* counters = nullptr);
 

@@ -65,8 +65,6 @@ struct RoundScratch {
   std::vector<net::Message> inbox;  ///< drain_into target (capacity circulates
                                     ///< with the mailbox)
   std::vector<WeightedContribution> contributions;  ///< partial_average input
-  std::vector<double> contribution_scales;  ///< per-contribution age decay
-                                            ///< (weighted async mode)
   compress::QuantizedVector quantized;  ///< QSGD decode staging (CHOCO)
   std::vector<float> floats;            ///< generic reused float buffer
 
@@ -79,7 +77,6 @@ struct RoundScratch {
     payloads.reset();
     inbox.clear();
     contributions.clear();
-    contribution_scales.clear();
   }
 
   /// Pre-sizes the arena from the model so round one already runs without

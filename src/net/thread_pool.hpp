@@ -10,8 +10,9 @@
 //  * parallel_for splits [0, n) into one contiguous chunk per thread using
 //    only (n, thread_count) — no atomic work-stealing, so which thread runs
 //    which index never depends on scheduling. Each index runs exactly once.
-//  * parallel_reduce materializes map(i) per index and folds the results in
-//    index order on the calling thread, so floating-point reductions are
+//  * Reductions are the caller's: write per-index results into a buffer
+//    with parallel_for, then fold it in index order on the calling thread
+//    (sim::Experiment::evaluate does), so floating-point sums are
 //    bit-identical to a sequential std::accumulate at any thread count.
 //  * Exceptions: chunks run to completion independently; afterwards the
 //    exception of the lowest-index chunk (= the error a sequential loop
@@ -90,19 +91,6 @@ class ThreadPool {
               for (std::size_t i = begin; i < end; ++i) body(lane, i);
             },
             &fn);
-  }
-
-  /// Ordered reduction: parallel map, sequential index-order fold.
-  /// T must be default-constructible (the map buffer is pre-sized).
-  template <class T, class Map, class Combine>
-  T parallel_reduce(std::size_t n, T init, Map&& map, Combine&& combine) {
-    std::vector<T> mapped(n);
-    parallel_for(n, [&](std::size_t i) { mapped[i] = map(i); });
-    T acc = std::move(init);
-    for (std::size_t i = 0; i < n; ++i) {
-      acc = combine(std::move(acc), std::move(mapped[i]));
-    }
-    return acc;
   }
 
  private:

@@ -439,37 +439,21 @@ MetricPoint Experiment::evaluate(std::size_t round, double train_loss) {
                             ? n_
                             : std::min(config_.eval_node_limit, n_))
                      : subset.size();
-  // Ordered reduction: per-node metrics are computed in parallel but summed
-  // in rank order, so the reported means are thread-count independent.
+  // Ordered reduction: per-node metrics are computed in parallel into a
+  // per-index buffer, then summed in index order on this thread, so the
+  // reported means are thread-count independent.
   nn::EvalMetrics sums;
   timed_phase(wall_.evaluate_seconds, [&] {
-    if (compact()) {
-      // Lane workers need a lane id, which parallel_reduce's map does not
-      // carry: materialize per-index metrics, then fold sequentially in
-      // index order — the exact summation order of the reduce below.
-      eval_buf_.assign(count, nn::EvalMetrics{});
-      pool_.parallel_for_lane(count, [&](unsigned lane, std::size_t j) {
-        const std::size_t node = subset.empty() ? j : subset[j];
-        algo::DlNode& w = *workers_[lane];
-        w.set_flat_params(store_->view(node));
-        eval_buf_[j] = w.model().evaluate(eval_batch_);
-      });
-      for (const nn::EvalMetrics& m : eval_buf_) {
-        sums.accuracy += m.accuracy;
-        sums.loss += m.loss;
-      }
-    } else {
-      sums = pool_.parallel_reduce(
-          count, nn::EvalMetrics{},
-          [&](std::size_t j) {
-            const std::size_t node = subset.empty() ? j : subset[j];
-            return nodes_[node]->model().evaluate(eval_batch_);
-          },
-          [](nn::EvalMetrics a, const nn::EvalMetrics& b) {
-            a.accuracy += b.accuracy;
-            a.loss += b.loss;
-            return a;
-          });
+    eval_buf_.assign(count, nn::EvalMetrics{});
+    pool_.parallel_for_lane(count, [&](unsigned lane, std::size_t j) {
+      const std::size_t node = subset.empty() ? j : subset[j];
+      algo::DlNode& w = compact() ? *workers_[lane] : *nodes_[node];
+      if (compact()) w.set_flat_params(store_->view(node));
+      eval_buf_[j] = w.model().evaluate(eval_batch_);
+    });
+    for (const nn::EvalMetrics& m : eval_buf_) {
+      sums.accuracy += m.accuracy;
+      sums.loss += m.loss;
     }
   });
   point.test_accuracy = sums.accuracy / static_cast<double>(count);

@@ -474,7 +474,7 @@ class Experiment {
   std::vector<std::unique_ptr<algo::DlNode>> workers_;
   data::Partition partition_;
   std::vector<std::uint64_t> steps_done_;
-  std::vector<nn::EvalMetrics> eval_buf_;  ///< compact eval scratch
+  std::vector<nn::EvalMetrics> eval_buf_;  ///< per-index eval metrics
   graph::MixingWeights mh_cache_;
   std::size_t mh_epoch_ = 0;
   bool mh_valid_ = false;

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <random>
+#include <string>
 
 #include "algo/choco.hpp"
 #include "algo/full_sharing.hpp"
 #include "algo/jwins_node.hpp"
+#include "algo/power_gossip.hpp"
 #include "algo/random_sampling.hpp"
 #include "graph/graph.hpp"
 #include "net/network.hpp"
@@ -407,6 +410,134 @@ TEST(AllAlgorithms, TrafficSplitsAddUp) {
                                   total.metadata_bytes_sent +
                                   total.messages_sent * net::Message::kEnvelopeBytes);
   EXPECT_GT(total.messages_sent, 0u);
+}
+
+// ---------------------------------------------------------- staleness decay
+
+// Weighted async mixing fades a contribution tagged s rounds old by
+// lambda^s. That must be exactly a reweighting: a node with decay 0.5 that
+// aggregates aged messages ends bit-identical to an undecayed node whose
+// neighbor mixing weights were pre-multiplied by 0.5^s. (0.5^s is exact in
+// IEEE arithmetic, so both sides form the same double weight.)
+TEST(StalenessDecay, EqualsReweightedMixing) {
+  using core::RobustAggKind;
+  const std::size_t n = 6;
+  const double lambda = 0.5;
+  using Factory = std::function<std::unique_ptr<DlNode>(std::uint32_t,
+                                                        const Cluster&)>;
+  struct Arm {
+    const char* name;
+    Factory make;
+    std::vector<RobustAggKind> rules;
+    /// Sender j's messages are age_step * (j % 3) rounds old. PowerGossip
+    /// reads its protocol phase from round parity, so it ages in steps of 2.
+    std::uint32_t age_step;
+  };
+  const auto model = [n](std::uint32_t r) {
+    return std::make_unique<QuadraticModel>(node_target(r, n), node_init(r));
+  };
+  const std::vector<RobustAggKind> all_rules = {
+      RobustAggKind::kNone, RobustAggKind::kTrimmedMean, RobustAggKind::kMedian,
+      RobustAggKind::kNormClip};
+  ChocoNode::Options qsgd = choco_options(0.6, 1.0);
+  qsgd.compressor = ChocoNode::Compressor::kQsgd;
+  const std::vector<Arm> arms = {
+      {"full_sharing",
+       [&](std::uint32_t r, const Cluster& c) -> std::unique_ptr<DlNode> {
+         return std::make_unique<FullSharingNode>(r, model(r), c.sampler(),
+                                                  train_config(0.05f));
+       },
+       all_rules, 1},
+      {"random_sampling",
+       [&](std::uint32_t r, const Cluster& c) -> std::unique_ptr<DlNode> {
+         return std::make_unique<RandomSamplingNode>(
+             r, model(r), c.sampler(), train_config(0.05f), 0.5);
+       },
+       {RobustAggKind::kNone}, 1},
+      {"jwins",
+       [&](std::uint32_t r, const Cluster& c) -> std::unique_ptr<DlNode> {
+         return std::make_unique<JwinsNode>(r, model(r), c.sampler(),
+                                            train_config(0.05f),
+                                            jwins_options());
+       },
+       all_rules, 1},
+      {"choco",
+       [&](std::uint32_t r, const Cluster& c) -> std::unique_ptr<DlNode> {
+         return std::make_unique<ChocoNode>(r, model(r), c.sampler(),
+                                            train_config(0.05f),
+                                            choco_options(0.6, 0.3));
+       },
+       all_rules, 1},
+      {"choco_qsgd",
+       [&](std::uint32_t r, const Cluster& c) -> std::unique_ptr<DlNode> {
+         return std::make_unique<ChocoNode>(r, model(r), c.sampler(),
+                                            train_config(0.05f), qsgd);
+       },
+       all_rules, 1},
+      {"power_gossip",
+       [&](std::uint32_t r, const Cluster& c) -> std::unique_ptr<DlNode> {
+         return std::make_unique<PowerGossipNode>(r, model(r), c.sampler(),
+                                                  train_config(0.05f),
+                                                  PowerGossipNode::Options{});
+       },
+       {RobustAggKind::kNone, RobustAggKind::kNormClip}, 2},
+  };
+
+  for (const Arm& arm : arms) {
+    for (const RobustAggKind rule : arm.rules) {
+      SCOPED_TRACE(std::string(arm.name) + " / " + core::robust_agg_name(rule));
+      core::RobustAggConfig robust;
+      robust.kind = rule;
+      robust.trim_fraction = 0.25;
+      robust.clip_norm = 0.5;
+      const auto age = [&](std::size_t sender) {
+        return arm.age_step * static_cast<std::uint32_t>(sender % 3);
+      };
+      // decayed: lambda = 0.5 on the stock weights. reweighted: no decay,
+      // w_ij pre-multiplied by 0.5^age(j). plain: neither (vacuity guard).
+      Cluster decayed(n), reweighted(n), plain(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto& nbrs = reweighted.graph.neighbors(i);
+        for (std::size_t k = 0; k < nbrs.size(); ++k) {
+          reweighted.weights.neighbor_weight[i][k] *=
+              std::pow(lambda, static_cast<double>(age(nbrs[k])));
+        }
+      }
+      for (Cluster* c : {&decayed, &reweighted, &plain}) {
+        for (std::size_t r = 0; r < n; ++r) {
+          c->nodes.push_back(arm.make(static_cast<std::uint32_t>(r), *c));
+          c->nodes.back()->set_robust_agg(robust);
+        }
+      }
+      for (auto& node : decayed.nodes) node->set_staleness_decay(lambda);
+      const std::uint32_t first = 2 * arm.age_step;  // oldest tag is >= 0
+      for (Cluster* c : {&decayed, &reweighted, &plain}) {
+        for (std::uint32_t t = first; t < first + 8; ++t) {
+          for (auto& node : c->nodes) node->local_train();
+          for (std::size_t j = 0; j < n; ++j) {
+            c->nodes[j]->share(c->network, c->graph, c->weights, t - age(j),
+                               c->scratch);
+          }
+          for (auto& node : c->nodes) {
+            node->aggregate(c->network, c->graph, c->weights, t, c->scratch);
+          }
+          c->network.finish_round(0.0);
+        }
+      }
+      bool decay_mattered = false;
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::vector<float> x = decayed.nodes[r]->flat_params();
+        EXPECT_EQ(x, reweighted.nodes[r]->flat_params()) << "node " << r;
+        decay_mattered =
+            decay_mattered || x != plain.nodes[r]->flat_params();
+      }
+      // The weighted mean must move under reweighting; the unweighted
+      // median need not.
+      if (rule == RobustAggKind::kNone) {
+        EXPECT_TRUE(decay_mattered);
+      }
+    }
+  }
 }
 
 TEST(DlNode, FlatParamsRoundTrip) {

@@ -67,25 +67,28 @@ TEST(RobustAggUnit, NoneMatchesPartialAverageBitForBit) {
   std::vector<float> robust = legacy;
   core::partial_average(legacy, 0.5, c, arena);
   core::RobustAggConfig none;  // kind = kNone
-  core::robust_partial_average(none, robust, 0.5, c, {}, arena);
+  core::robust_partial_average(none, robust, 0.5, c, arena);
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(legacy[i], robust[i]) << i;
   }
 }
 
 TEST(RobustAggUnit, NoneMatchesScaledPartialAverageBitForBit) {
+  // A staleness-decayed contribution reaches the robust layer with its
+  // scale already folded into the weight (DlNode::contribution_weight).
   core::Arena arena;
   const auto p1 = dense_payload({1.0f, 2.0f, 3.0f, 4.0f});
   const auto p2 = dense_payload({-1.0f, 0.0f, 1.0f, 2.0f});
   const auto c = contribs({&p1, &p2}, 0.25);
   const std::vector<double> scales = {1.0, 0.5};
+  std::vector<core::WeightedContribution> folded = c;
+  for (std::size_t k = 0; k < folded.size(); ++k) folded[k].weight *= scales[k];
   std::vector<float> legacy = {0.5f, -0.5f, 1.5f, 2.5f};
   std::vector<float> robust = legacy;
   core::partial_average(legacy, 0.5, c, std::span<const double>(scales),
                         arena);
   core::RobustAggConfig none;
-  core::robust_partial_average(none, robust, 0.5, c,
-                               std::span<const double>(scales), arena);
+  core::robust_partial_average(none, robust, 0.5, folded, arena);
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(legacy[i], robust[i]) << i;
   }
@@ -116,7 +119,7 @@ TEST(RobustAggUnit, MedianPicksMiddleValueIgnoringWeights) {
   std::vector<float> own = {1.0f, 5.0f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.5, c, {}, arena);
+  core::robust_partial_average(cfg, own, 0.5, c, arena);
   EXPECT_FLOAT_EQ(own[0], 2.0f);   // median of {1, 100, 2}
   EXPECT_FLOAT_EQ(own[1], 3.0f);   // median of {5, -100, 3}
 }
@@ -128,7 +131,7 @@ TEST(RobustAggUnit, MedianEvenCountAveragesMiddleTwo) {
   std::vector<float> own = {2.0f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.5, c, {}, arena);
+  core::robust_partial_average(cfg, own, 0.5, c, arena);
   EXPECT_FLOAT_EQ(own[0], 5.0f);  // mean of {2, 8}
 }
 
@@ -141,7 +144,7 @@ TEST(RobustAggUnit, MedianLeavesUnsuppliedCoordinatesUntouched) {
   std::vector<float> own = {3.25f, 1.0f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.5, c, {}, arena);
+  core::robust_partial_average(cfg, own, 0.5, c, arena);
   EXPECT_EQ(own[0], 3.25f);
   EXPECT_FLOAT_EQ(own[1], 5.0f);
 }
@@ -164,7 +167,7 @@ TEST(RobustAggUnit, TrimmedMeanDropsExtremesAndRenormalizes) {
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.2;
   core::RobustAggCounters counters;
-  core::robust_partial_average(cfg, own, 0.4, c, {}, arena, &counters);
+  core::robust_partial_average(cfg, own, 0.4, c, arena, &counters);
   EXPECT_FLOAT_EQ(own[0], 2.0f);
   EXPECT_EQ(counters.trimmed_entries, 2u);  // one per end, one coordinate
 }
@@ -181,7 +184,7 @@ TEST(RobustAggUnit, TrimmedMeanWeightsSurvivorsProperly) {
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.25;  // m = 4 -> t = 1
-  core::robust_partial_average(cfg, own, 0.6, c, {}, arena);
+  core::robust_partial_average(cfg, own, 0.6, c, arena);
   EXPECT_FLOAT_EQ(own[0], 2.5f);
 }
 
@@ -198,7 +201,7 @@ TEST(RobustAggUnit, TrimCountClampAlwaysLeavesASurvivor) {
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.49;
-  core::robust_partial_average(cfg, own, 0.2, c, {}, arena);
+  core::robust_partial_average(cfg, own, 0.2, c, arena);
   EXPECT_FLOAT_EQ(own[0], 25.0f);  // the median survivor is own itself
 }
 
@@ -223,7 +226,7 @@ TEST(RobustAggUnit, TrimFractionMonotonicity) {
     cfg.kind = core::RobustAggKind::kTrimmedMean;
     cfg.trim_fraction = f;
     core::RobustAggCounters counters;
-    core::robust_partial_average(cfg, own, 0.2, c, {}, arena, &counters);
+    core::robust_partial_average(cfg, own, 0.2, c, arena, &counters);
     const double error = std::abs(own[0] - honest_mean);
     EXPECT_LE(error, previous_error) << "f=" << f;
     EXPECT_GE(counters.trimmed_entries, previous_trimmed) << "f=" << f;
@@ -244,7 +247,7 @@ TEST(RobustAggUnit, MedianBoundedUnderSingleOutlier) {
   std::vector<float> own = {0.5f, -0.5f};
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
-  core::robust_partial_average(cfg, own, 0.4, c, {}, arena);
+  core::robust_partial_average(cfg, own, 0.4, c, arena);
   for (const float v : own) EXPECT_LE(std::abs(v), 2.0f);
 }
 
@@ -258,7 +261,7 @@ TEST(RobustAggUnit, TrimmedMeanBoundedUnderSingleOutlier) {
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kTrimmedMean;
   cfg.trim_fraction = 0.25;  // m = 4 -> t = 1: the outlier is trimmed
-  core::robust_partial_average(cfg, own, 0.4, c, {}, arena);
+  core::robust_partial_average(cfg, own, 0.4, c, arena);
   for (const float v : own) EXPECT_LE(std::abs(v), 2.0f);
 }
 
@@ -271,7 +274,7 @@ TEST(RobustAggUnit, NormClipBoundsDeviationFromOwn) {
   cfg.kind = core::RobustAggKind::kNormClip;
   cfg.clip_norm = 2.0;
   core::RobustAggCounters counters;
-  core::robust_partial_average(cfg, own, 0.5, c, {}, arena, &counters);
+  core::robust_partial_average(cfg, own, 0.5, c, arena, &counters);
   // Clipped contribution: own + 2/100 * (z - own) = (2, 0); the 50/50
   // average with own (0, 0) gives (1, 0).
   EXPECT_FLOAT_EQ(own[0], 1.0f);
@@ -290,7 +293,7 @@ TEST(RobustAggUnit, NormClipPassesSmallDeviationsBitIdentically) {
   cfg.kind = core::RobustAggKind::kNormClip;
   cfg.clip_norm = 10.0;  // nothing deviates this far
   core::RobustAggCounters counters;
-  core::robust_partial_average(cfg, clipped, 0.5, c, {}, arena, &counters);
+  core::robust_partial_average(cfg, clipped, 0.5, c, arena, &counters);
   core::partial_average(legacy, 0.5, c, arena);
   EXPECT_EQ(counters.clipped_contributions, 0u);
   for (std::size_t i = 0; i < legacy.size(); ++i) {
@@ -321,8 +324,8 @@ TEST_P(RobustPermutation, ContributionOrderDoesNotChangeTheResult) {
   cfg.clip_norm = 3.0;
   std::vector<float> a = {0.5f, 0.25f, -0.75f};
   std::vector<float> b = a;
-  core::robust_partial_average(cfg, a, 0.3, forward, {}, arena);
-  core::robust_partial_average(cfg, b, 0.3, reversed, {}, arena);
+  core::robust_partial_average(cfg, a, 0.3, forward, arena);
+  core::robust_partial_average(cfg, b, 0.3, reversed, arena);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a[i], b[i], 1e-6) << i;
   }
@@ -421,7 +424,7 @@ TEST(RobustAggUnit, CountersAccumulateAcrossCalls) {
   core::RobustAggCounters counters;
   for (int i = 0; i < 3; ++i) {
     std::vector<float> own = {0.0f};
-    core::robust_partial_average(cfg, own, 0.5, c, {}, arena, &counters);
+    core::robust_partial_average(cfg, own, 0.5, c, arena, &counters);
   }
   EXPECT_EQ(counters.clipped_contributions, 3u);
 }
@@ -433,11 +436,11 @@ TEST(RobustAggUnit, MalformedContributionsThrow) {
   core::RobustAggConfig cfg;
   cfg.kind = core::RobustAggKind::kMedian;
   core::Arena arena;
-  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c, {}, arena),
+  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c, arena),
                std::invalid_argument);
   auto bad_index = sparse_payload(3, {7}, {1.0f});
   std::vector<core::WeightedContribution> c2 = {{0.5, &bad_index}};
-  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c2, {}, arena),
+  EXPECT_THROW(core::robust_partial_average(cfg, own, 0.5, c2, arena),
                std::out_of_range);
   EXPECT_THROW(core::robust_accumulate_diffs(cfg, own, c, arena),
                std::invalid_argument);

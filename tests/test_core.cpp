@@ -363,7 +363,7 @@ TEST(Payload, EmptySparsePayloadIsANoOpContribution) {
           RobustAggConfig cfg;
           cfg.kind = kind;
           std::copy(model.begin(), model.end(), own.begin());
-          robust_partial_average(cfg, own, 0.5, contribs, {}, arena);
+          robust_partial_average(cfg, own, 0.5, contribs, arena);
           EXPECT_EQ(own, model) << "index mode " << static_cast<int>(mode)
                                 << ", rule " << robust_agg_name(kind);
         }

@@ -1,12 +1,11 @@
 // Unit and stress tests for the persistent fork-join engine
 // (net/thread_pool.hpp): coverage, ordering, nested-call behavior,
-// first-error exception semantics, bit-exact ordered reduction, and a
-// construction/dispatch churn loop that must stay clean under
-// ASan/UBSan/TSan (the CI sanitizer jobs run this file).
+// first-error exception semantics, and a construction/dispatch churn loop
+// that must stay clean under ASan/UBSan/TSan (the CI sanitizer jobs run
+// this file).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -121,45 +120,6 @@ TEST(ThreadPool, FirstErrorSemanticsMatchSequential) {
     }
     EXPECT_EQ(what, "10") << "threads=" << threads;
   }
-}
-
-TEST(ThreadPool, OrderedReduceMatchesAccumulateBitForBit) {
-  // Values spanning ~16 orders of magnitude make float addition visibly
-  // non-associative, so any chunk-local partial summing would diverge.
-  constexpr std::size_t n = 4097;
-  std::vector<double> values(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    values[i] = std::pow(-1.1, static_cast<double>(i % 67)) * 1e-8 +
-                static_cast<double>(i) * 1e7;
-  }
-  const double expected = std::accumulate(values.begin(), values.end(), 0.0);
-  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    ThreadPool pool(threads);
-    const double got = pool.parallel_reduce(
-        n, 0.0, [&](std::size_t i) { return values[i]; },
-        [](double a, double b) { return a + b; });
-    EXPECT_EQ(got, expected) << "threads=" << threads;
-  }
-}
-
-TEST(ThreadPool, ReduceEmptyRangeReturnsInit) {
-  ThreadPool pool(4);
-  const double got = pool.parallel_reduce(
-      0, 42.0, [](std::size_t) { return 1.0; },
-      [](double a, double b) { return a + b; });
-  EXPECT_EQ(got, 42.0);
-}
-
-TEST(ThreadPool, ExceptionInReduceMapPropagates) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_reduce(
-                   32, 0.0,
-                   [](std::size_t i) -> double {
-                     if (i == 5) throw std::logic_error("map");
-                     return 1.0;
-                   },
-                   [](double a, double b) { return a + b; }),
-               std::logic_error);
 }
 
 TEST(ThreadPoolStress, DispatchChurnIsClean) {

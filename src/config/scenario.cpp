@@ -508,11 +508,12 @@ const std::vector<KeySpec>& key_specs() {
     add({"node_state", "enum", "full", "full, compact",
          "Per-node state layout: full = one model/optimizer/sampler object "
          "per node (the reference layout), compact = shared base weights + "
-         "per-node copy-on-write deltas driven by per-lane workers — the "
-         "100k-1M-node memory diet. compact requires engine = sync, "
-         "batch_sampler = counter, algorithm = random-sampling or "
-         "full-sharing, and no byzantine/robust_agg/momentum; results are "
-         "byte-identical to full under the same config"},
+         "per-node copy-on-write deltas run on per-lane workers — the "
+         "100k-1M-node memory diet. Both run the same round body. compact "
+         "requires engine = sync, batch_sampler = counter, algorithm = "
+         "random-sampling or full-sharing, byzantine_nodes = 0 and "
+         "momentum = 0 (any robust_agg is fine); results are byte-identical "
+         "to full under the same config"},
         [](ScenarioRun& r, const std::string& v) {
           expect_enum("node_state", v, {"full", "compact"});
           r.config.node_state = v == "compact" ? sim::NodeState::kCompact

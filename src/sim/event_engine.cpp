@@ -158,7 +158,7 @@ void BarrierLedger::close_round(std::size_t round) {
 // --- EventEngine ------------------------------------------------------------
 
 EventEngine::EventEngine(Experiment& experiment)
-    : exp_(experiment), uplink_(experiment.nodes_.size()) {
+    : exp_(experiment), uplink_(experiment.n_) {
   exp_.network_.set_delivery_sink(this);
 }
 
@@ -185,7 +185,7 @@ const EventEngine::RoundTopo& EventEngine::topo(std::size_t round) {
     // round_graph() references die on the next call, and nodes occupy
     // different local rounds concurrently — so cache a copy per round.
     const graph::Graph& g = exp_.topology_->round_graph(round);
-    if (g.size() != exp_.nodes_.size()) {
+    if (g.size() != exp_.n_) {
       throw std::logic_error("EventEngine: topology size != node count");
     }
     RoundTopo entry{g, graph::metropolis_hastings(g)};
@@ -239,10 +239,9 @@ bool EventEngine::gate_open(std::uint32_t i) {
       static_cast<std::int64_t>(exp_.config_.staleness_bound);
   const std::int64_t min_tag = static_cast<std::int64_t>(round_[i]) - bound;
   if (min_tag < 0) return true;  // early rounds can never be gated
-  const std::size_t n = exp_.nodes_.size();
   const graph::Graph& g = topo(round_[i]).graph;
   for (const std::size_t nb : g.neighbors(i)) {
-    if (heard_[i * n + nb] >= min_tag) continue;
+    if (heard_[i * exp_.n_ + nb] >= min_tag) continue;
     if (may_yet_hear(static_cast<std::uint32_t>(nb), min_tag)) return false;
   }
   return true;
@@ -290,12 +289,13 @@ void EventEngine::process_arrival(Event& event) {
   // The transfer completed: its TimeModel edge record retires here, keeping
   // the live-record count bounded by the in-flight message count.
   exp_.network_.retire_transfer(sender, j);
-  const std::size_t n = exp_.nodes_.size();
-  heard_[j * n + sender] =
-      std::max(heard_[j * n + sender], static_cast<std::int64_t>(tag));
   const std::int64_t min_tag =
       static_cast<std::int64_t>(round_[j]) -
       static_cast<std::int64_t>(exp_.config_.staleness_bound);
+  if (mode_ == AsyncMode::kBarrier) {
+    std::int64_t& heard = heard_[j * exp_.n_ + sender];
+    heard = std::max(heard, static_cast<std::int64_t>(tag));
+  }
   if (mode_ == AsyncMode::kBarrier &&
       static_cast<std::int64_t>(tag) < min_tag) {
     // Arrived after the receiver's staleness window already passed it.
@@ -380,11 +380,7 @@ void EventEngine::process_local_step(const Event& event,
   }
   ++round_[i];
   ++stats_.local_steps[i];
-  std::size_t min_round = round_[0];
-  for (const std::uint32_t rr : round_) {
-    min_round = std::min<std::size_t>(min_round, rr);
-  }
-  evict_topo_below(min_round);
+  evict_topo_below(min_round());
   if (maybe_evaluate(result)) return;  // target reached
   start_round(i, event.time);
   unblock_ready(event.time);
@@ -393,13 +389,9 @@ void EventEngine::process_local_step(const Event& event,
 bool EventEngine::maybe_evaluate(ExperimentResult& result) {
   const ExperimentConfig& cfg = exp_.config_;
   while (next_eval_round_ < cfg.rounds) {
-    std::uint64_t min_completed = round_[0];
-    for (const std::uint32_t r : round_) {
-      min_completed = std::min<std::uint64_t>(min_completed, r);
-    }
     // Global evaluation point: every node has finished round index
     // next_eval_round_ (mirroring the sync schedule t = 0, eval_every, ...).
-    if (min_completed < next_eval_round_ + 1) return false;
+    if (min_round() < next_eval_round_ + 1) return false;
     const double mean_train_loss = Experiment::mean_loss_over(
         train_losses_, exp_.metric_population(next_eval_round_ + 1),
         [&](std::size_t i) { return static_cast<bool>(trained_[i]); });
@@ -424,7 +416,7 @@ ExperimentResult EventEngine::run() {
   const auto run_start = std::chrono::steady_clock::now();
   ExperimentResult result;
   const ExperimentConfig& cfg = exp_.config_;
-  const std::size_t n = exp_.nodes_.size();
+  const std::size_t n = exp_.n_;
   mode_ = cfg.async_mode;
   stats_.enabled = true;
   stats_.extended = true;  // every run that gets here is genuinely async
@@ -443,7 +435,9 @@ ExperimentResult EventEngine::run() {
   train_losses_.assign(n, 0.0f);
   trained_.assign(n, false);
   inbox_.assign(n, {});
-  heard_.assign(n * n, -1);
+  // Only the barrier gate reads heard_; free/weighted runs skip the n^2
+  // table.
+  if (mode_ == AsyncMode::kBarrier) heard_.assign(n * n, -1);
 
   for (std::uint32_t i = 0; i < n; ++i) start_round(i, 0.0);
 
@@ -516,11 +510,7 @@ ExperimentResult EventEngine::run() {
     }
   }
 
-  std::uint64_t min_completed = round_.empty() ? 0 : round_[0];
-  for (const std::uint32_t r : round_) {
-    min_completed = std::min<std::uint64_t>(min_completed, r);
-  }
-  result.rounds_run = static_cast<std::size_t>(min_completed);
+  result.rounds_run = min_round();
   if (result.series.empty() ||
       result.series.back().round < result.rounds_run) {
     const double mean_train_loss = Experiment::mean_loss_over(

@@ -36,6 +36,7 @@
 // specification.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -207,6 +208,11 @@ class EventEngine : private net::DeliverySink {
   bool maybe_evaluate(ExperimentResult& result);
 
   bool node_alive(std::uint32_t i, std::size_t round) const;
+  /// Lowest current local round over all nodes: every node has completed
+  /// this many rounds.
+  std::size_t min_round() const {
+    return *std::min_element(round_.begin(), round_.end());
+  }
 
   Experiment& exp_;
   EventQueue queue_;
@@ -233,6 +239,7 @@ class EventEngine : private net::DeliverySink {
   std::vector<bool> trained_;               ///< has >= 1 completed train
   std::vector<std::vector<net::Message>> inbox_;
   /// heard_[i * n + j]: highest round tag received by i from j (-1 = none).
+  /// Barrier mode only (empty under free/weighted, which have no gate).
   std::vector<std::int64_t> heard_;
   std::map<std::size_t, RoundTopo> topo_cache_;
   std::size_t next_eval_round_ = 0;  ///< next 0-based round index to evaluate

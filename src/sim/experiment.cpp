@@ -67,9 +67,8 @@ constexpr std::uint64_t kSamplerStream = 0xDA7A;
 /// Stream tag of the per-round eval-subset draw (eval_sample).
 constexpr std::uint64_t kEvalSampleStream = 0xE7A1;
 
-/// Full-engine batch-size rule; the compact lane workers use the cap alone
-/// (Sampler::next() clamps to the bound shard, so the effective batch is
-/// min(kBatchCap, shard size) in both layouts).
+/// Mini-batch size cap. Sampler::next() clamps to the bound shard, so the
+/// effective batch is min(kBatchCap, shard size) in both layouts.
 constexpr std::size_t kBatchCap = 16;
 
 }  // namespace
@@ -113,9 +112,6 @@ std::vector<std::string> ExperimentConfig::validate(std::size_t nodes) const {
     require(byzantine_nodes == 0,
             "node_state: compact does not support byzantine_nodes (per-node "
             "attacker flags need full node objects)");
-    require(robust_agg.kind == core::RobustAggKind::kNone,
-            "node_state: compact requires robust_agg = none (per-node "
-            "robust counters need full node objects)");
     require(sgd.momentum == 0.0f,
             "node_state: compact requires momentum = 0 (momentum keeps "
             "per-node optimizer state)");
@@ -235,78 +231,56 @@ Experiment::Experiment(ExperimentConfig config, nn::ModelFactory factory,
       config_.batch_sampler == BatchSampler::kCounter
           ? data::Sampler::Mode::kCounter
           : data::Sampler::Mode::kShuffle;
+  const auto make_node = [&](std::uint32_t rank, data::Sampler sampler)
+      -> std::unique_ptr<algo::DlNode> {
+    auto model = factory();
+    switch (config_.algorithm) {
+      case Algorithm::kFullSharing:
+        return std::make_unique<algo::FullSharingNode>(
+            rank, std::move(model), std::move(sampler), train_config);
+      case Algorithm::kRandomSampling:
+        return std::make_unique<algo::RandomSamplingNode>(
+            rank, std::move(model), std::move(sampler), train_config,
+            config_.random_sampling_fraction, config_.seed);
+      case Algorithm::kJwins:
+        return std::make_unique<algo::JwinsNode>(
+            rank, std::move(model), std::move(sampler), train_config,
+            config_.jwins);
+      case Algorithm::kChoco:
+        return std::make_unique<algo::ChocoNode>(
+            rank, std::move(model), std::move(sampler), train_config,
+            config_.choco);
+      case Algorithm::kPowerGossip:
+        return std::make_unique<algo::PowerGossipNode>(
+            rank, std::move(model), std::move(sampler), train_config,
+            config_.power_gossip);
+    }
+    throw std::invalid_argument("Experiment: unknown algorithm");
+  };
+  for (const auto& shard : partition) {
+    if (shard.empty()) {
+      throw std::invalid_argument("Experiment: empty partition shard");
+    }
+  }
+  // kFull: node objects 0..n-1. kCompact: one lane worker per execution
+  // lane, built as node 0 and retargeted by bind() before every use.
+  const std::size_t objects = compact() ? pool_.thread_count() : n;
+  nodes_.reserve(objects);
+  for (std::size_t k = 0; k < objects; ++k) {
+    const std::size_t i = compact() ? 0 : k;
+    nodes_.push_back(make_node(
+        static_cast<std::uint32_t>(i),
+        data::Sampler(train, partition[i], kBatchCap,
+                      core::derive_seed(config_.seed, i, 0, kSamplerStream),
+                      sampler_mode)));
+  }
   if (compact()) {
-    // Compact layout: no per-node objects. One lane-worker DlNode per
-    // execution lane (rebound to each simulated node in turn) over a shared
-    // COW parameter store; the partition is retained for rebinds and each
-    // node keeps only a sampler-stream position.
-    partition_ = std::move(partition);
-    for (const auto& shard : partition_) {
-      if (shard.empty()) {
-        throw std::invalid_argument("Experiment: empty partition shard");
-      }
-    }
-    const unsigned lanes = pool_.thread_count();
-    workers_.reserve(lanes);
-    for (unsigned l = 0; l < lanes; ++l) {
-      auto model = factory();
-      data::Sampler sampler(
-          train, partition_[0], kBatchCap,
-          core::derive_seed(config_.seed, 0, 0, kSamplerStream),
-          data::Sampler::Mode::kCounter);
-      // Placeholder identity; bind_worker() retargets before every use.
-      if (config_.algorithm == Algorithm::kRandomSampling) {
-        workers_.push_back(std::make_unique<algo::RandomSamplingNode>(
-            0, std::move(model), std::move(sampler), train_config,
-            config_.random_sampling_fraction, config_.seed));
-      } else {
-        workers_.push_back(std::make_unique<algo::FullSharingNode>(
-            0, std::move(model), std::move(sampler), train_config));
-      }
-    }
-    // All nodes start from the factory's identical x^(0,0): worker 0's
-    // fresh parameters ARE the shared base.
-    store_ = std::make_unique<NodeStateStore>(
-        n, workers_.front()->flat_params());
+    // All nodes start from the factory's identical x^(0,0): the first lane
+    // worker's fresh parameters ARE the shared base. The partition is
+    // retained for bind()'s rebinds.
+    store_ = std::make_unique<NodeStateStore>(n, nodes_.front()->flat_params());
     steps_done_.assign(n, 0);
-  } else {
-    nodes_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto model = factory();
-      data::Sampler sampler(
-          train, partition[i], /*batch_size=*/
-          std::max<std::size_t>(
-              1, std::min<std::size_t>(kBatchCap, partition[i].size())),
-          core::derive_seed(config_.seed, i, 0, kSamplerStream),
-          sampler_mode);
-      const auto rank = static_cast<std::uint32_t>(i);
-      switch (config_.algorithm) {
-        case Algorithm::kFullSharing:
-          nodes_.push_back(std::make_unique<algo::FullSharingNode>(
-              rank, std::move(model), std::move(sampler), train_config));
-          break;
-        case Algorithm::kRandomSampling:
-          nodes_.push_back(std::make_unique<algo::RandomSamplingNode>(
-              rank, std::move(model), std::move(sampler), train_config,
-              config_.random_sampling_fraction, config_.seed));
-          break;
-        case Algorithm::kJwins:
-          nodes_.push_back(std::make_unique<algo::JwinsNode>(
-              rank, std::move(model), std::move(sampler), train_config,
-              config_.jwins));
-          break;
-        case Algorithm::kChoco:
-          nodes_.push_back(std::make_unique<algo::ChocoNode>(
-              rank, std::move(model), std::move(sampler), train_config,
-              config_.choco));
-          break;
-        case Algorithm::kPowerGossip:
-          nodes_.push_back(std::make_unique<algo::PowerGossipNode>(
-              rank, std::move(model), std::move(sampler), train_config,
-              config_.power_gossip));
-          break;
-      }
-    }
+    partition_ = std::move(partition);
   }
   // Staleness-weighted mixing (AsyncMode::kWeighted): nodes scale each
   // contribution by staleness_decay^age at aggregation time. The other
@@ -340,9 +314,9 @@ Experiment::Experiment(ExperimentConfig config, nn::ModelFactory factory,
   // very first round already runs without heap growth. Lanes are exclusive
   // (static chunking), so scratches are never shared between running calls.
   scratch_.resize(pool_.thread_count());
-  const std::size_t params = compact() ? workers_.front()->param_count()
-                                       : nodes_.front()->param_count();
-  for (core::RoundScratch& s : scratch_) s.reserve_for_model(params);
+  for (core::RoundScratch& s : scratch_) {
+    s.reserve_for_model(nodes_.front()->param_count());
+  }
 }
 
 std::vector<std::uint32_t> Experiment::eval_sample_indices(std::uint64_t seed,
@@ -416,11 +390,23 @@ const graph::MixingWeights& Experiment::mixing_weights(const graph::Graph& g,
   return mh_cache_;
 }
 
-void Experiment::bind_worker(algo::DlNode& w, std::size_t i) {
+algo::DlNode& Experiment::bind(unsigned lane, std::size_t i) {
+  if (!compact()) return *nodes_[i];
+  algo::DlNode& w = *nodes_[lane];
   w.rebind(static_cast<std::uint32_t>(i), partition_[i],
            core::derive_seed(config_.seed, i, 0, kSamplerStream),
            steps_done_[i]);
   w.set_flat_params(store_->view(i));
+  return w;
+}
+
+void Experiment::write_back(algo::DlNode& node, std::size_t i,
+                            std::size_t steps) {
+  if (!compact()) return;
+  node.flat_params_into(store_->slot(i));
+  // The sampler stream advances only when the node trained: a crashed node
+  // resumes where it froze, like a full-layout node's stateful sampler.
+  steps_done_[i] += steps;
 }
 
 MetricPoint Experiment::evaluate(std::size_t round, double train_loss) {
@@ -447,9 +433,7 @@ MetricPoint Experiment::evaluate(std::size_t round, double train_loss) {
     eval_buf_.assign(count, nn::EvalMetrics{});
     pool_.parallel_for_lane(count, [&](unsigned lane, std::size_t j) {
       const std::size_t node = subset.empty() ? j : subset[j];
-      algo::DlNode& w = compact() ? *workers_[lane] : *nodes_[node];
-      if (compact()) w.set_flat_params(store_->view(node));
-      eval_buf_[j] = w.model().evaluate(eval_batch_);
+      eval_buf_[j] = bind(lane, node).model().evaluate(eval_batch_);
     });
     for (const nn::EvalMetrics& m : eval_buf_) {
       sums.accuracy += m.accuracy;
@@ -471,8 +455,19 @@ ExperimentResult Experiment::run() {
        config_.async_mode != AsyncMode::kBarrier)) {
     return EventEngine(*this).run();  // genuine asynchrony (event_engine.cpp)
   }
-  const auto run_start = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::duration d) {
+    return std::chrono::duration<double>(d).count();
+  };
+  const auto run_start = Clock::now();
   ExperimentResult result;
+  // Per-lane train and share seconds of the fused passes, and their wall.
+  struct alignas(64) LaneSeconds {
+    double train = 0.0;
+    double share = 0.0;
+  };
+  std::vector<LaneSeconds> lane_seconds(pool_.thread_count());
+  double fused_seconds = 0.0;
   // Barrier-mode async runs ARE this loop; the ledger only derives the
   // event counters their event schedule would have produced.
   std::optional<BarrierLedger> ledger;
@@ -494,56 +489,33 @@ ExperimentResult Experiment::run() {
     const graph::MixingWeights& weights = mixing_weights(g, t);
     const auto round = static_cast<std::uint32_t>(t);
 
-    if (compact()) {
-      // Fused train+share pass: one worker rebind covers both. share()
-      // reads only the sharing node's own state and every mailbox drain
-      // sorts canonically by (round, sender), so fusing the full layout's
-      // two barriers changes no bytes — it halves the rebind/copy traffic,
-      // the dominant per-round cost at 100k+ nodes. The whole fused pass
-      // books under train_seconds (share_seconds stays 0 in this layout).
-      timed_phase(wall_.train_seconds, [&] {
-        pool_.parallel_for_lane(n_, [&](unsigned lane, std::size_t i) {
-          if (!alive(i, t)) return;  // frozen: no train, no send, no steps
-          algo::DlNode& w = *workers_[lane];
-          bind_worker(w, i);
-          train_losses[i] = w.local_train();
-          w.share(network_, g, weights, round, scratch_[lane]);
-          w.flat_params_into(store_->slot(i));
-          // The sampler stream advances only when the node trained: a
-          // crashed node resumes where it froze, like a full-layout node's
-          // stateful sampler.
-          steps_done_[i] += config_.local_steps;
-        });
+    // Pass 1, fused train+share: share() reads only the sharing node's own
+    // post-training state and every mailbox drain sorts canonically by
+    // (round, sender), so one pass per node changes no bytes against
+    // separate train and share barriers — and under kCompact it halves the
+    // rebind/copy traffic, the dominant per-round cost at 100k+ nodes.
+    timed_phase(fused_seconds, [&] {
+      pool_.parallel_for_lane(n_, [&](unsigned lane, std::size_t i) {
+        if (!alive(i, t)) return;  // frozen: no train, no send, no steps
+        algo::DlNode& node = bind(lane, i);
+        const auto train_start = Clock::now();
+        train_losses[i] = node.local_train();
+        const auto share_start = Clock::now();
+        node.share(network_, g, weights, round, scratch_[lane]);
+        lane_seconds[lane].train += seconds(share_start - train_start);
+        lane_seconds[lane].share += seconds(Clock::now() - share_start);
+        write_back(node, i, config_.local_steps);
       });
-      timed_phase(wall_.aggregate_seconds, [&] {
-        pool_.parallel_for_lane(n_, [&](unsigned lane, std::size_t i) {
-          if (!alive(i, t)) return;
-          algo::DlNode& w = *workers_[lane];
-          bind_worker(w, i);
-          w.aggregate(network_, g, weights, round, scratch_[lane]);
-          w.flat_params_into(store_->slot(i));
-        });
+    });
+    // Pass 2, aggregate.
+    timed_phase(wall_.aggregate_seconds, [&] {
+      pool_.parallel_for_lane(n_, [&](unsigned lane, std::size_t i) {
+        if (!alive(i, t)) return;
+        algo::DlNode& node = bind(lane, i);
+        node.aggregate(network_, g, weights, round, scratch_[lane]);
+        write_back(node, i, 0);
       });
-    } else {
-      timed_phase(wall_.train_seconds, [&] {
-        pool_.parallel_for(n_, [&](std::size_t i) {
-          if (!alive(i, t)) return;
-          train_losses[i] = nodes_[i]->local_train();
-        });
-      });
-      timed_phase(wall_.share_seconds, [&] {
-        pool_.parallel_for_lane(n_, [&](unsigned lane, std::size_t i) {
-          if (!alive(i, t)) return;
-          nodes_[i]->share(network_, g, weights, round, scratch_[lane]);
-        });
-      });
-      timed_phase(wall_.aggregate_seconds, [&] {
-        pool_.parallel_for_lane(n_, [&](unsigned lane, std::size_t i) {
-          if (!alive(i, t)) return;
-          nodes_[i]->aggregate(network_, g, weights, round, scratch_[lane]);
-        });
-      });
-    }
+    });
     network_.finish_round(config_.compute_seconds_per_round);
     if (ledger) ledger->close_round(t);
     result.rounds_run = t + 1;
@@ -551,7 +523,7 @@ ExperimentResult Experiment::run() {
     if (config_.lr_decay_every > 0 && (t + 1) % config_.lr_decay_every == 0) {
       // Every node follows the same schedule, so the compact layout decays
       // its lane workers (the only optimizer state it has).
-      for (auto& node : compact() ? workers_ : nodes_) {
+      for (auto& node : nodes_) {
         node->set_learning_rate(static_cast<float>(
             node->learning_rate() * config_.lr_decay_factor));
       }
@@ -600,11 +572,19 @@ ExperimentResult Experiment::run() {
     }
     if (budget_hit) break;
   }
+  // Split the fused passes' wall time in the lanes' train : share ratio.
+  double train_sum = 0.0, share_sum = 0.0;
+  for (const LaneSeconds& l : lane_seconds) {
+    train_sum += l.train;
+    share_sum += l.share;
+  }
+  const double train_part =
+      train_sum + share_sum > 0.0 ? train_sum / (train_sum + share_sum) : 1.0;
+  wall_.train_seconds += fused_seconds * train_part;
+  wall_.share_seconds += fused_seconds * (1.0 - train_part);
   collect_summary(result);
   if (ledger) result.event_engine = ledger->stats();
-  wall_.total_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)
-          .count();
+  wall_.total_seconds += seconds(Clock::now() - run_start);
   result.wall = wall_;
   return result;
 }

@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -93,19 +94,21 @@ enum class AsyncMode { kBarrier, kFree, kWeighted };
 const char* async_mode_name(AsyncMode mode);
 
 /// Per-node state layout of the synchronous engine. Both layouts run the
-/// same round loop (Experiment::run); they differ only in the bodies of
-/// its per-node phases:
+/// same round body (Experiment::run: a fused train+share pass, then an
+/// aggregate pass) over the same node vector; they differ only in what that
+/// vector holds and in how a node is bound and written back:
 ///
 ///  * kFull — one DlNode object per simulated node (model, optimizer,
-///    sampler), driven through separate train, share and aggregate phases.
-///    The reference layout; every pre-existing result was produced under it.
+///    sampler); binding node i is indexing, write-back is a no-op. The
+///    reference layout; every pre-existing result was produced under it.
 ///  * kCompact — the 100k–1M-node memory diet: node state is a shared
 ///    read-only base parameter vector plus a lazily-materialized per-node
-///    slot (sim::NodeStateStore), driven through one lane-worker DlNode per
-///    execution lane in a fused bind -> train+share -> write-back pass and
-///    an aggregate pass. Requires the counter batch sampler (rebindable
-///    streams) and a stateless-node algorithm; with both, results are
-///    byte-identical to kFull at any thread count.
+///    slot (sim::NodeStateStore), run on one lane-worker DlNode per
+///    execution lane that is rebound to node i (rank, shard, sampler stream,
+///    parameters) before each use and stored back to i's slot after.
+///    Requires the counter batch sampler (rebindable streams) and a
+///    stateless-node algorithm; with both, results are byte-identical to
+///    kFull at any thread count.
 enum class NodeState { kFull, kCompact };
 
 const char* node_state_name(NodeState state);
@@ -160,7 +163,7 @@ struct ExperimentConfig {
 
   /// Per-node state layout (see NodeState). kCompact trades generality for
   /// memory: validate() enforces its restrictions (sync engine, counter
-  /// sampler, stateless-node algorithm, no byzantine/robust/momentum).
+  /// sampler, stateless-node algorithm, no byzantine nodes, no momentum).
   NodeState node_state = NodeState::kFull;
 
   /// Mini-batch sampling discipline (see BatchSampler). The default keeps
@@ -263,7 +266,10 @@ struct MetricPoint {
 /// Real (host) wall-clock spent per engine phase, summed over all rounds —
 /// the scalability bench's raw material. Unlike sim_seconds these measure
 /// this process, so they vary run to run and are excluded from the
-/// determinism contract.
+/// determinism contract. The synchronous loop trains and shares in one
+/// fused pass; its wall time is split between train_seconds and
+/// share_seconds in the ratio of the lanes' summed train and share time.
+/// The four phases sum to at most total_seconds.
 struct PhaseTimings {
   double train_seconds = 0.0;
   double share_seconds = 0.0;
@@ -391,8 +397,16 @@ class Experiment {
   ExperimentResult run();
 
   /// Direct access for tests and probes. node() requires the full node-state
-  /// layout (compact runs keep no per-node DlNode objects).
-  algo::DlNode& node(std::size_t i) { return *nodes_.at(i); }
+  /// layout: compact runs keep no per-node DlNode objects, so it throws
+  /// std::logic_error there.
+  algo::DlNode& node(std::size_t i) {
+    if (compact()) {
+      throw std::logic_error(
+          "Experiment::node: a compact run keeps no per-node DlNode "
+          "objects (node_state = compact)");
+    }
+    return *nodes_.at(i);
+  }
   std::size_t node_count() const noexcept { return n_; }
   const net::Network& network() const noexcept { return network_; }
 
@@ -450,9 +464,14 @@ class Experiment {
   /// static/slow-churn topologies stop recomputing O(n) weights every round.
   const graph::MixingWeights& mixing_weights(const graph::Graph& g,
                                              std::size_t t);
-  /// Points lane-worker `w` at simulated node `i`: rank, shard, sampler
-  /// stream position, and parameters from the state store (compact only).
-  void bind_worker(algo::DlNode& w, std::size_t i);
+  /// The node object that runs simulated node `i` on execution lane `lane`:
+  /// nodes_[i] under kFull; under kCompact the lane's worker, pointed at
+  /// node i (rank, shard, sampler stream position) and loaded with its
+  /// parameters from the state store.
+  algo::DlNode& bind(unsigned lane, std::size_t i);
+  /// Compact only (a no-op under kFull): stores the bound `node`'s
+  /// parameters into i's slot and advances i's sampler stream by `steps`.
+  void write_back(algo::DlNode& node, std::size_t i, std::size_t steps);
 
   ExperimentConfig config_;
   const data::Dataset* test_;
@@ -463,15 +482,15 @@ class Experiment {
   /// share/aggregate phases hand lane k's scratch to every node that lane
   /// processes (see docs/PERFORMANCE.md "Memory model of the round loop").
   std::vector<core::RoundScratch> scratch_;
+  /// One DlNode per simulated node under kFull; one lane worker per
+  /// execution lane under kCompact. Reach node i through bind().
   std::vector<std::unique_ptr<algo::DlNode>> nodes_;
-  std::size_t n_ = 0;  ///< simulated node count (nodes_.size() under kFull)
+  std::size_t n_ = 0;  ///< simulated node count
   /// Compact node-state machinery (empty under kFull): the COW parameter
-  /// store, one lane-worker DlNode per execution lane, the retained
-  /// partition for worker rebinds, and each node's sampler-stream position
-  /// (advanced only on rounds the node is alive, mirroring kFull's
-  /// per-node samplers under crash schedules).
+  /// store, the retained partition for rebinds, and each node's
+  /// sampler-stream position (advanced only on rounds the node is alive,
+  /// mirroring kFull's per-node samplers under crash schedules).
   std::unique_ptr<NodeStateStore> store_;
-  std::vector<std::unique_ptr<algo::DlNode>> workers_;
   data::Partition partition_;
   std::vector<std::uint64_t> steps_done_;
   std::vector<nn::EvalMetrics> eval_buf_;  ///< per-index eval metrics

@@ -26,9 +26,10 @@ struct Scenario {
   double drop_probability = 0.0;
 };
 
-sim::ExperimentResult run_scenario(const Scenario& s, unsigned threads,
-                                   sim::EngineKind engine =
-                                       sim::EngineKind::kSync) {
+sim::ExperimentResult run_scenario(
+    const Scenario& s, unsigned threads,
+    sim::EngineKind engine = sim::EngineKind::kSync,
+    sim::NodeState node_state = sim::NodeState::kFull) {
   const std::size_t n = 8;
   const sim::Workload w = sim::make_femnist_like(n, 23);
   sim::ExperimentConfig cfg;
@@ -42,6 +43,10 @@ sim::ExperimentResult run_scenario(const Scenario& s, unsigned threads,
   cfg.seed = 23;
   cfg.engine = engine;
   cfg.message_drop_probability = s.drop_probability;
+  cfg.node_state = node_state;
+  if (node_state == sim::NodeState::kCompact) {
+    cfg.batch_sampler = sim::BatchSampler::kCounter;
+  }
   if (s.choco_qsgd) {
     cfg.choco.compressor = algo::ChocoNode::Compressor::kQsgd;
   }
@@ -381,6 +386,20 @@ TEST(Determinism, WallTimingsArePopulated) {
   EXPECT_GE(result.wall.total_seconds,
             result.wall.train_seconds + result.wall.share_seconds +
                 result.wall.aggregate_seconds + result.wall.evaluate_seconds);
+
+  // The compact layout's fused train+share pass books into both phases.
+  const auto compact =
+      run_scenario({"random-sampling", sim::Algorithm::kRandomSampling},
+                   /*threads=*/2, sim::EngineKind::kSync,
+                   sim::NodeState::kCompact);
+  EXPECT_GT(compact.wall.train_seconds, 0.0);
+  EXPECT_GT(compact.wall.share_seconds, 0.0);
+  EXPECT_GT(compact.wall.aggregate_seconds, 0.0);
+  EXPECT_GT(compact.wall.evaluate_seconds, 0.0);
+  EXPECT_GE(compact.wall.total_seconds,
+            compact.wall.train_seconds + compact.wall.share_seconds +
+                compact.wall.aggregate_seconds +
+                compact.wall.evaluate_seconds);
 }
 
 }  // namespace

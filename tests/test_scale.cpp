@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <regex>
@@ -359,9 +360,9 @@ TEST(CounterSampler, StreamIsSeekableAndRebindable) {
   EXPECT_THROW(shuffled.rebind(shard_b, 1, 0), std::logic_error);
 }
 
-sim::ExperimentResult run_scale_workload(sim::NodeState node_state,
-                                         unsigned threads,
-                                         std::size_t nodes = 32) {
+sim::ExperimentResult run_scale_workload(
+    sim::NodeState node_state, unsigned threads, std::size_t nodes = 32,
+    const std::function<void(sim::ExperimentConfig&)>& tweak = {}) {
   const sim::Workload w = sim::make_scale_like(nodes, 7);
   sim::ExperimentConfig cfg;
   cfg.algorithm = sim::Algorithm::kRandomSampling;
@@ -374,6 +375,7 @@ sim::ExperimentResult run_scale_workload(sim::NodeState node_state,
   cfg.batch_sampler = sim::BatchSampler::kCounter;
   cfg.threads = threads;
   cfg.seed = 7;
+  if (tweak) tweak(cfg);
   sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
                       std::make_unique<graph::StaticTopology>(
                           graph::ring(nodes)));
@@ -390,6 +392,61 @@ TEST(CompactState, ByteIdenticalToFullEngineAtAnyThreadCount) {
             json_of(run_scale_workload(sim::NodeState::kCompact, 4)));
 }
 
+// The fused train+share pass and the lane workers' summed robust counters
+// under the two robust rules that count, and under message drops plus a
+// crash window (frozen nodes skip the pass and keep their sampler stream).
+TEST(CompactState, ByteIdenticalToFullEngineUnderRobustAggAndFaults) {
+  struct Variant {
+    const char* label;
+    std::function<void(sim::ExperimentConfig&)> tweak;
+    /// Guards against a vacuous golden: the run really took the path.
+    std::function<bool(const sim::ExperimentResult&)> exercised;
+  };
+  const std::vector<Variant> variants = {
+      {"trimmed_mean",
+       [](sim::ExperimentConfig& c) {
+         c.robust_agg.kind = core::RobustAggKind::kTrimmedMean;
+         c.robust_agg.trim_fraction = 0.4;
+       },
+       [](const sim::ExperimentResult& r) {
+         return r.byzantine.trimmed_entries > 0;
+       }},
+      {"norm_clip",
+       [](sim::ExperimentConfig& c) {
+         c.robust_agg.kind = core::RobustAggKind::kNormClip;
+         c.robust_agg.clip_norm = 1e-3;
+       },
+       [](const sim::ExperimentResult& r) {
+         return r.byzantine.clipped_contributions > 0;
+       }},
+      {"drop+crash",
+       [](sim::ExperimentConfig& c) {
+         c.message_drop_probability = 0.2;
+         c.time.crash_nodes = 6;
+         c.time.crash_at = 1;
+         c.time.rejoin_at = 3;
+       },
+       [](const sim::ExperimentResult& r) {
+         return r.sim_time.dropped_iid > 0 && r.sim_time.dropped_crash > 0;
+       }},
+  };
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.label);
+    const sim::ExperimentResult full =
+        run_scale_workload(sim::NodeState::kFull, 1, 32, v.tweak);
+    EXPECT_TRUE(v.exercised(full));
+    const std::string reference = json_of(full);
+    for (const sim::NodeState layout :
+         {sim::NodeState::kFull, sim::NodeState::kCompact}) {
+      for (const unsigned threads : {1u, 4u}) {
+        EXPECT_EQ(reference, json_of(run_scale_workload(layout, threads, 32,
+                                                        v.tweak)))
+            << sim::node_state_name(layout) << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(CompactState, ValidateEnforcesRestrictions) {
   sim::ExperimentConfig cfg;
   cfg.node_state = sim::NodeState::kCompact;
@@ -402,6 +459,45 @@ TEST(CompactState, ValidateEnforcesRestrictions) {
 
   cfg.algorithm = sim::Algorithm::kRandomSampling;
   EXPECT_TRUE(cfg.validate(16).empty());
+
+  // Robust rules keep only summed counters: accepted.
+  cfg.robust_agg.kind = core::RobustAggKind::kTrimmedMean;
+  cfg.robust_agg.trim_fraction = 0.25;
+  EXPECT_TRUE(cfg.validate(16).empty());
+  cfg.robust_agg.kind = core::RobustAggKind::kNormClip;
+  EXPECT_TRUE(cfg.validate(16).empty());
+
+  // Per-node attacker flags and optimizer state stay rejected.
+  sim::ExperimentConfig byzantine = cfg;
+  byzantine.byzantine_nodes = 2;
+  EXPECT_FALSE(byzantine.validate(16).empty());
+  sim::ExperimentConfig momentum = cfg;
+  momentum.sgd.momentum = 0.9f;
+  EXPECT_FALSE(momentum.validate(16).empty());
+}
+
+// A compact run's nodes_ holds lane workers, not simulated nodes, so the
+// per-node accessor must refuse rather than hand back a lane worker.
+TEST(CompactState, NodeAccessorRejectsCompactRuns) {
+  const std::size_t nodes = 8;
+  const sim::Workload w = sim::make_scale_like(nodes, 7);
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = sim::Algorithm::kRandomSampling;
+  cfg.batch_sampler = sim::BatchSampler::kCounter;
+  cfg.threads = 2;
+  const auto make = [&] {
+    return sim::Experiment(cfg, w.model_factory, *w.train, w.partition,
+                           *w.test,
+                           std::make_unique<graph::StaticTopology>(
+                               graph::ring(nodes)));
+  };
+  sim::Experiment full = make();
+  EXPECT_EQ(full.node(5).rank(), 5u);
+  cfg.node_state = sim::NodeState::kCompact;
+  sim::Experiment compact = make();
+  EXPECT_EQ(compact.node_count(), nodes);
+  EXPECT_THROW(compact.node(0), std::logic_error);
+  EXPECT_THROW(compact.node(5), std::logic_error);
 }
 
 // The memory-diet regression guard: per-node steady-state heap cost of a
@@ -440,6 +536,59 @@ TEST(ScaleMemory, CompactPerNodeHeapBytesUnderCeiling) {
       << "compact node state costs " << per_node
       << " bytes/node — the memory diet regressed (full-layout cost is "
          "several KiB/node)";
+}
+
+// Records the live heap at every round_graph() call. The event engine makes
+// one per local round, mid-run, after its per-node tables are allocated, so
+// the maximum is the run's held heap.
+class HeapProbeTopology final : public graph::TopologyProvider {
+ public:
+  explicit HeapProbeTopology(graph::Graph g) : graph_(std::move(g)) {}
+  const graph::Graph& round_graph(std::size_t) override {
+    peak_ = std::max(peak_, testutil::live_heap_bytes());
+    return graph_;
+  }
+  std::int64_t peak() const noexcept { return peak_; }
+
+ private:
+  graph::Graph graph_;
+  std::int64_t peak_ = 0;
+};
+
+/// Peak heap per node held while an async free-mode run is in flight.
+std::int64_t free_mode_heap_per_node(std::size_t nodes) {
+  const sim::Workload w = sim::make_scale_like(nodes, 7);
+  sim::ExperimentConfig cfg;
+  cfg.algorithm = sim::Algorithm::kRandomSampling;
+  cfg.engine = sim::EngineKind::kAsync;
+  cfg.async_mode = sim::AsyncMode::kFree;
+  cfg.rounds = 2;
+  cfg.eval_every = 2;
+  cfg.eval_sample = 16;
+  cfg.eval_sample_limit = 16;
+  cfg.seed = 7;
+  const std::int64_t before = testutil::live_heap_bytes();
+  auto topology = std::make_unique<HeapProbeTopology>(graph::ring(nodes, 2));
+  const HeapProbeTopology& probe = *topology;
+  sim::Experiment exp(cfg, w.model_factory, *w.train, w.partition, *w.test,
+                      std::move(topology));
+  (void)exp.run();
+  return (probe.peak() - before) / static_cast<std::int64_t>(nodes);
+}
+
+// Free/weighted async runs have no staleness gate, so nothing in them may
+// cost O(n) per node. The barrier gate's n^2 heard table alone would cost
+// 16 KiB per node at 2048 nodes against 4 KiB at 512.
+TEST(ScaleMemory, FreeModeHeapPerNodeFlatInNodeCount) {
+  if (testutil::live_heap_bytes() < 0) {
+    GTEST_SKIP() << "allocator hook compiled out (sanitized build)";
+  }
+  const std::int64_t small = free_mode_heap_per_node(512);
+  const std::int64_t large = free_mode_heap_per_node(2048);
+  ASSERT_GT(small, 0);
+  EXPECT_LE(large, small * 5 / 4)
+      << "free-mode heap per node grows with node count: " << small
+      << " B/node at 512 nodes, " << large << " B/node at 2048";
 }
 
 // --- 3. Sharded sweeps -------------------------------------------------------

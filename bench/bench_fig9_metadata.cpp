@@ -35,9 +35,6 @@ int main(int argc, char** argv) {
     cfg.threads = threads;
     cfg.seed = seed;
     cfg.jwins.index_encoding = encoding;
-    // Raw 32-bit values isolate the metadata comparison, matching the
-    // figure's "both are essentially 32-bit data types" framing.
-    cfg.jwins.value_encoding = core::ValueEncoding::kRaw;
     sim::Experiment experiment(
         cfg, w.model_factory, *w.train, w.partition, *w.test,
         bench::static_regular(nodes, bench::degree_for_nodes(nodes),

@@ -1,7 +1,6 @@
 // Micro-benchmarks for the primitives on JWINS' hot path: DWT/IDWT, TopK,
-// Elias index coding, the XOR float codec, payload serialization, partial
-// averaging, QSGD quantization, message fan-out, and one CNN/LSTM training
-// step.
+// Elias index coding, payload serialization, partial averaging, QSGD
+// quantization, message fan-out, and one CNN/LSTM training step.
 //
 // Each hot-path kernel is timed through the one API the engine runs — the
 // arena / reused-buffer form — under the name <name>/scratch, with its
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "compress/elias.hpp"
-#include "compress/float_codec.hpp"
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
 #include "core/averaging.hpp"
@@ -219,26 +217,6 @@ std::vector<Kernel> build_kernels() {
     auto decoded = std::make_shared<std::vector<std::uint32_t>>();
     add("elias_decode/6554/scratch", "fig5", [=] {
       compress::decode_index_gaps_into(*encoded, indices->size(), *decoded);
-      consume(decoded->data());
-    });
-  }
-
-  // --- XOR float codec ----------------------------------------------------
-  {
-    const std::size_t n = 1 << 14;
-    auto x = std::make_shared<std::vector<float>>(random_floats(n, 7));
-    auto bits = std::make_shared<compress::BitWriter>();
-    add_tiered("xor_compress/16384/scratch", "fig5", [=] {
-      bits->clear();
-      compress::compress_floats(*x, *bits);
-      consume(bits->bytes().data());
-    });
-    compress::BitWriter encoder;
-    compress::compress_floats(*x, encoder);
-    auto encoded = std::make_shared<std::vector<std::uint8_t>>(encoder.bytes());
-    auto decoded = std::make_shared<std::vector<float>>();
-    add_tiered("xor_decompress/16384/scratch", "fig5", [=] {
-      compress::decompress_floats_into(*encoded, n, *decoded);
       consume(decoded->data());
     });
   }

@@ -81,7 +81,6 @@ void ChocoNode::share(net::Network& network, const graph::Graph& g,
     }
     core::PayloadOptions msg_options;
     msg_options.index_encoding = options_.index_encoding;
-    msg_options.value_encoding = options_.value_encoding;
     msg = core::make_message(rank(), round, payload, msg_options,
                              network.pool(), scratch.bits);
   }

@@ -29,7 +29,6 @@ class ChocoNode final : public DlNode {
     double fraction = 0.2;   ///< TopK fraction of parameters per round
     std::uint32_t qsgd_levels = 15;  ///< quantization levels for kQsgd
     core::IndexEncoding index_encoding = core::IndexEncoding::kEliasGamma;
-    core::ValueEncoding value_encoding = core::ValueEncoding::kXorCodec;
   };
 
   ChocoNode(std::uint32_t rank, std::unique_ptr<nn::SupervisedModel> model,

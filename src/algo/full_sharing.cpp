@@ -1,13 +1,13 @@
 #include "algo/full_sharing.hpp"
 
+#include "core/sparse_payload.hpp"
+
 namespace jwins::algo {
 
 FullSharingNode::FullSharingNode(std::uint32_t rank,
                                  std::unique_ptr<nn::SupervisedModel> model,
-                                 data::Sampler sampler, TrainConfig config,
-                                 core::ValueEncoding value_encoding)
-    : DlNode(rank, std::move(model), std::move(sampler), config),
-      value_encoding_(value_encoding) {}
+                                 data::Sampler sampler, TrainConfig config)
+    : DlNode(rank, std::move(model), std::move(sampler), config) {}
 
 void FullSharingNode::share(net::Network& network, const graph::Graph& g,
                             const graph::MixingWeights& /*weights*/,
@@ -26,7 +26,6 @@ void FullSharingNode::share(net::Network& network, const graph::Graph& g,
   payload.values = x;
   core::PayloadOptions options;
   options.index_encoding = core::IndexEncoding::kDense;
-  options.value_encoding = value_encoding_;
   const net::Message msg = core::make_message(
       rank(), round, payload, options, network.pool(), scratch.bits);
   for (std::size_t j : g.neighbors(rank())) {

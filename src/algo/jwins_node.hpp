@@ -21,7 +21,7 @@ class JwinsNode final : public DlNode {
     core::WaveletRanker::Options ranker;
     core::RandomizedCutoff cutoff = core::RandomizedCutoff::paper_default();
     core::IndexEncoding index_encoding = core::IndexEncoding::kEliasGamma;
-    core::ValueEncoding value_encoding = core::ValueEncoding::kXorCodec;
+    core::ValueEncoding value_encoding = core::ValueEncoding::kRaw;  ///< only kRaw
   };
 
   JwinsNode(std::uint32_t rank, std::unique_ptr<nn::SupervisedModel> model,

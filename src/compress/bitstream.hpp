@@ -1,4 +1,4 @@
-// Bit-granular I/O used by the Elias integer codes and the XOR float codec.
+// Bit-granular I/O used by the Elias integer codes.
 #pragma once
 
 #include <cstddef>

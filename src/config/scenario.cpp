@@ -302,14 +302,6 @@ core::IndexEncoding parse_index_encoding(const std::string& key,
   return core::IndexEncoding::kEliasGamma;  // unreachable
 }
 
-core::ValueEncoding parse_value_encoding(const std::string& key,
-                                         const std::string& value) {
-  if (value == "xor") return core::ValueEncoding::kXorCodec;
-  if (value == "raw") return core::ValueEncoding::kRaw;
-  expect_enum(key, value, {"xor", "raw"});
-  return core::ValueEncoding::kXorCodec;  // unreachable
-}
-
 /// Splits a value into its comma-separated sweep list. `where` names the
 /// error site ("line N" in a file, the key itself for --set overrides).
 std::vector<std::string> split_sweep(const std::string& where,
@@ -743,13 +735,6 @@ const std::vector<KeySpec>& key_specs() {
           const core::IndexEncoding e = parse_index_encoding("index_encoding", v);
           r.config.jwins.index_encoding = e;
           r.config.choco.index_encoding = e;
-        });
-    add({"value_encoding", "enum", "xor", "xor, raw",
-         "Coefficient-value compression for JWINS and CHoCo payloads"},
-        [](ScenarioRun& r, const std::string& v) {
-          const core::ValueEncoding e = parse_value_encoding("value_encoding", v);
-          r.config.jwins.value_encoding = e;
-          r.config.choco.value_encoding = e;
         });
     add({"choco_gamma", "float", "0.6", "(0, 1]",
          "CHoCo consensus step size (the sensitive knob)"},

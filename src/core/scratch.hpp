@@ -60,7 +60,7 @@ class PayloadPool {
 struct RoundScratch {
   Arena arena;               ///< POD temporaries; valid until the next reset()
   dwt::DwtWorkspace dwt;     ///< wavelet transform ping-pong buffers
-  compress::BitWriter bits;  ///< Elias/XOR bitstream staging
+  compress::BitWriter bits;  ///< Elias-gamma bitstream staging
   PayloadPool payloads;      ///< decoded neighbor payloads
   std::vector<net::Message> inbox;  ///< drain_into target (capacity circulates
                                     ///< with the mailbox)

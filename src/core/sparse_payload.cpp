@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "compress/elias.hpp"
-#include "compress/float_codec.hpp"
 #include "compress/topk.hpp"
 #include "net/serializer.hpp"
 
@@ -48,24 +47,21 @@ std::size_t encode_payload_into(const PayloadView& payload,
   }
   const std::size_t metadata_bytes = writer.size() - start;
 
-  switch (options.value_encoding) {
-    case ValueEncoding::kXorCodec:
-      bit_scratch.clear();
-      compress::compress_floats(payload.values, bit_scratch);
-      writer.write_bytes(bit_scratch.bytes());
-      break;
-    case ValueEncoding::kRaw:
-      writer.write_f32_array(payload.values);
-      break;
-  }
+  writer.write_f32_array(payload.values);
   return metadata_bytes;
 }
 
 void decode_payload_into(std::span<const std::uint8_t> body,
                          SparsePayload& out, Arena& arena) {
   net::ByteReader reader(body);
-  const auto index_mode = static_cast<IndexEncoding>(reader.read_u8());
-  const auto value_mode = static_cast<ValueEncoding>(reader.read_u8());
+  const std::uint8_t index_tag = reader.read_u8();
+  if (index_tag > static_cast<std::uint8_t>(IndexEncoding::kSeed)) {
+    throw std::runtime_error("decode_payload: unknown index mode");
+  }
+  if (reader.read_u8() != static_cast<std::uint8_t>(ValueEncoding::kRaw)) {
+    throw std::runtime_error("decode_payload: unknown value mode");
+  }
+  const auto index_mode = static_cast<IndexEncoding>(index_tag);
   out.vector_length = reader.read_u32();
   const std::uint32_t count = reader.read_u32();
   out.indices.clear();
@@ -100,16 +96,7 @@ void decode_payload_into(std::span<const std::uint8_t> body,
     }
   }
 
-  switch (value_mode) {
-    case ValueEncoding::kXorCodec: {
-      const std::span<const std::uint8_t> blob = reader.view_bytes();
-      compress::decompress_floats_into(blob, count, out.values);
-      break;
-    }
-    case ValueEncoding::kRaw:
-      reader.read_f32_array_into(out.values);
-      break;
-  }
+  reader.read_f32_array_into(out.values);
   if (out.values.size() != count) {
     throw std::runtime_error("decode_payload: value count mismatch");
   }

@@ -6,18 +6,21 @@
 // the ranker (core/ranker.hpp) and randomized cut-off (core/cutoff.hpp)
 // choose which wavelet coefficients to share, encode_payload_into() turns
 // that (indices, values) pair into bytes — Elias-gamma gap-coded indices
-// (compress/elias.hpp) plus XOR-codec values (compress/float_codec.hpp) —
-// and the receiver's decode_payload_into() feeds partial averaging
-// (core/averaging.hpp). All algorithms in the reproduction (JWINS, CHOCO,
-// random sampling, full-sharing and the ablations) serialize their model
-// payloads through this one codec so byte accounting is uniform, exactly as
-// the paper applies Fpzip+Elias uniformly across algorithms. The encoding
-// switches double as the Figure-9 ablation (raw vs Elias-gamma index
-// metadata).
+// (compress/elias.hpp) plus raw f32 values — and the receiver's
+// decode_payload_into() feeds partial averaging (core/averaging.hpp). All
+// algorithms in the reproduction (JWINS, CHOCO, random sampling,
+// full-sharing and the ablations) serialize their model payloads through
+// this one codec so byte accounting is uniform, as the paper applies
+// Fpzip+Elias uniformly across algorithms. Values are sent raw: the paper's
+// lossless Fpzip pass is not reproduced, since an XOR-predictive stand-in
+// for it made every message ~6% larger (docs/DESIGN.md). The index
+// switch doubles as the Figure-9 ablation (raw vs Elias-gamma metadata).
 //
 // Layout: [index_mode u8][value_mode u8][vector_len u32][count u32]
-//         [index section][value section]
-// Everything before the value section counts as metadata_bytes.
+//         [index section][value section = u32 count + count raw f32]
+// Everything before the value section counts as metadata_bytes. The
+// value-mode byte is always ValueEncoding::kRaw; the decoder rejects any
+// other tag, so a future value codec can take a new tag.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +44,9 @@ enum class IndexEncoding : std::uint8_t {
   kSeed = 3,        ///< 8-byte PRNG seed (random-sampling baseline)
 };
 
+/// The value section's format. Tag 0 (a retired XOR codec) is rejected.
 enum class ValueEncoding : std::uint8_t {
-  kXorCodec = 0,  ///< lossless XOR-predictive codec (Fpzip stand-in)
-  kRaw = 1,       ///< 4 bytes per value
+  kRaw = 1,  ///< 4 bytes per value
 };
 
 struct SparsePayload {
@@ -83,7 +86,7 @@ struct PayloadView {
 
 struct PayloadOptions {
   IndexEncoding index_encoding = IndexEncoding::kEliasGamma;
-  ValueEncoding value_encoding = ValueEncoding::kXorCodec;
+  ValueEncoding value_encoding = ValueEncoding::kRaw;
   std::uint64_t seed = 0;  ///< required for IndexEncoding::kSeed
 };
 
@@ -91,19 +94,20 @@ struct PayloadOptions {
 /// pooled send buffer for an allocation-free hot path). For kDense,
 /// `payload.indices` must be empty and values.size() == vector_length. For
 /// kSeed, the receiver regenerates the index set from (seed, count,
-/// vector_length). `bit_scratch` is cleared and reused for the Elias/XOR
-/// sections. Returns the metadata byte count (bytes written before the
+/// vector_length). `bit_scratch` is cleared and reused for the Elias-gamma
+/// index section. Returns the metadata byte count (bytes written before the
 /// value section).
 std::size_t encode_payload_into(const PayloadView& payload,
                                 const PayloadOptions& options,
                                 net::ByteWriter& writer,
                                 compress::BitWriter& bit_scratch);
 
-/// Parses a payload produced by encode_payload_into. For kSeed the index
-/// set is regenerated, so the result always carries explicit indices unless
-/// dense. Compressed sections are read as views into `body` (no blob
-/// copies) and results land in `out`'s reused buffers; `arena` backs the
-/// kSeed membership flags.
+/// Parses a payload produced by encode_payload_into. Throws
+/// std::runtime_error on an unknown index or value mode tag, before reading
+/// any section. For kSeed the index set is regenerated, so the result always
+/// carries explicit indices unless dense. The Elias-gamma section is read as
+/// a view into `body` (no blob copy) and results land in `out`'s reused
+/// buffers; `arena` backs the kSeed membership flags.
 void decode_payload_into(std::span<const std::uint8_t> body,
                          SparsePayload& out, Arena& arena);
 

@@ -33,6 +33,7 @@ void ByteReader::read_f32_array_into(std::vector<float>& out) {
     throw std::out_of_range("ByteReader: truncated float array");
   }
   out.resize(n);
+  if (n == 0) return;  // out.data() may be null; memcpy forbids it
   std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(float));
   pos_ += n * sizeof(float);
 }
@@ -43,6 +44,7 @@ void ByteReader::read_u32_array_into(std::vector<std::uint32_t>& out) {
     throw std::out_of_range("ByteReader: truncated u32 array");
   }
   out.resize(n);
+  if (n == 0) return;  // out.data() may be null; memcpy forbids it
   std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(std::uint32_t));
   pos_ += n * sizeof(std::uint32_t);
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "compress/elias.hpp"
-#include "compress/float_codec.hpp"
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
 #include "core/arena.hpp"
@@ -277,7 +276,8 @@ TEST(ScratchEquivalence, EliasAndFloatCodec) {
   compress::BitWriter fresh_gaps;
   compress::encode_index_gaps(indices, fresh_gaps);
   compress::BitWriter bits;
-  compress::compress_floats(random_floats(999, 3), bits);  // dirty it
+  compress::encode_index_gaps(
+      testutil::sampled_indices(99999, 999, 3), bits);  // dirty it
   for (int round = 0; round < 3; ++round) {  // reuse across rounds
     bits.clear();
     compress::encode_index_gaps(indices, bits);
@@ -289,15 +289,15 @@ TEST(ScratchEquivalence, EliasAndFloatCodec) {
   compress::decode_index_gaps_into(fresh_gaps.bytes(), 800, decoded);
   EXPECT_EQ(fresh_decoded, decoded);
 
-  compress::BitWriter fresh_comp;
-  compress::compress_floats(values, fresh_comp);
-  bits.clear();
-  compress::compress_floats(values, bits);
-  EXPECT_EQ(fresh_comp.bytes(), bits.bytes());
+  // Values travel as a raw f32 array: decoding into a dirty, larger output
+  // gives the fresh result.
+  net::ByteWriter value_section;
+  value_section.write_f32_array(values);
   std::vector<float> fresh_back;
-  compress::decompress_floats_into(fresh_comp.bytes(), 8192, fresh_back);
+  net::ByteReader(value_section.buffer()).read_f32_array_into(fresh_back);
   std::vector<float> back(10000, -3.0f);
-  compress::decompress_floats_into(fresh_comp.bytes(), 8192, back);
+  net::ByteReader(value_section.buffer()).read_f32_array_into(back);
+  EXPECT_EQ(fresh_back, values);
   EXPECT_EQ(fresh_back, back);
 }
 
@@ -396,26 +396,24 @@ TEST(ScratchEquivalence, PayloadCodecRoundTrip) {
   compress::BitWriter bits;
   for (const auto index_encoding :
        {core::IndexEncoding::kEliasGamma, core::IndexEncoding::kRaw}) {
-    for (const auto value_encoding :
-         {core::ValueEncoding::kXorCodec, core::ValueEncoding::kRaw}) {
-      core::PayloadOptions options{index_encoding, value_encoding, 0};
-      const testutil::EncodedBody fresh =
-          testutil::encode_body(payload, options);
+    const core::PayloadOptions options{index_encoding,
+                                       core::ValueEncoding::kRaw, 0};
+    const testutil::EncodedBody fresh =
+        testutil::encode_body(payload, options);
 
-      writer.clear();  // still holding the previous encoding's capacity
-      const std::size_t metadata =
-          core::encode_payload_into(payload, options, writer, bits);
-      EXPECT_EQ(fresh.body, writer.buffer());
-      EXPECT_EQ(fresh.metadata_bytes, metadata);
+    writer.clear();  // still holding the previous encoding's capacity
+    const std::size_t metadata =
+        core::encode_payload_into(payload, options, writer, bits);
+    EXPECT_EQ(fresh.body, writer.buffer());
+    EXPECT_EQ(fresh.metadata_bytes, metadata);
 
-      const core::SparsePayload fresh_decoded =
-          testutil::decode_body(fresh.body);
-      arena.reset();
-      core::decode_payload_into(fresh.body, decoded, arena);
-      EXPECT_EQ(fresh_decoded.vector_length, decoded.vector_length);
-      EXPECT_EQ(fresh_decoded.indices, decoded.indices);
-      EXPECT_EQ(fresh_decoded.values, decoded.values);
-    }
+    const core::SparsePayload fresh_decoded =
+        testutil::decode_body(fresh.body);
+    arena.reset();
+    core::decode_payload_into(fresh.body, decoded, arena);
+    EXPECT_EQ(fresh_decoded.vector_length, decoded.vector_length);
+    EXPECT_EQ(fresh_decoded.indices, decoded.indices);
+    EXPECT_EQ(fresh_decoded.values, decoded.values);
   }
 
   // Seed-coded payloads regenerate indices through the arena path.

@@ -6,7 +6,6 @@
 
 #include "compress/bitstream.hpp"
 #include "compress/elias.hpp"
-#include "compress/float_codec.hpp"
 #include "compress/topk.hpp"
 #include "test_util.hpp"
 
@@ -118,12 +117,6 @@ std::vector<std::uint8_t> gaps_of(std::span<const std::uint32_t> indices) {
   return w.bytes();
 }
 
-std::vector<std::uint8_t> floats_of(std::span<const float> values) {
-  BitWriter w;
-  compress_floats(values, w);
-  return w.bytes();
-}
-
 TEST(IndexGaps, RoundTripIncludingZeroFirstIndex) {
   const std::vector<std::uint32_t> indices{0, 1, 5, 6, 100, 101, 4096};
   const auto bytes = gaps_of(indices);
@@ -188,98 +181,6 @@ TEST_P(IndexGapsSweep, RandomSubsetsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, IndexGapsSweep,
                          ::testing::Values(1u, 2u, 10u, 100u, 1000u, 10000u));
-
-// -------------------------------------------------------------- float codec
-
-std::vector<float> decoded(std::span<const std::uint8_t> bytes,
-                           std::size_t count) {
-  std::vector<float> out;
-  decompress_floats_into(bytes, count, out);
-  return out;
-}
-
-TEST(FloatCodec, EmptyStream) {
-  EXPECT_TRUE(floats_of({}).empty());
-  EXPECT_TRUE(decoded({}, 0).empty());
-}
-
-TEST(FloatCodec, SingleValue) {
-  const std::vector<float> vals{3.14159f};
-  const auto bytes = floats_of(vals);
-  const auto back = decoded(bytes, 1);
-  EXPECT_EQ(back, vals);
-}
-
-TEST(FloatCodec, ConstantRunIsTiny) {
-  const std::vector<float> vals(1000, 1.5f);
-  const auto bytes = floats_of(vals);
-  // First value: 32 bits; every repeat: 1 bit -> ~129 bytes total.
-  EXPECT_LT(bytes.size(), 160u);
-  EXPECT_EQ(decoded(bytes, vals.size()), vals);
-}
-
-TEST(FloatCodec, SpecialValuesAreLossless) {
-  const std::vector<float> vals{
-      0.0f, -0.0f, std::numeric_limits<float>::infinity(),
-      -std::numeric_limits<float>::infinity(),
-      std::numeric_limits<float>::denorm_min(),
-      std::numeric_limits<float>::max(), std::numeric_limits<float>::lowest(),
-      1e-38f, -1e38f};
-  const auto bytes = floats_of(vals);
-  const auto back = decoded(bytes, vals.size());
-  ASSERT_EQ(back.size(), vals.size());
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    // Bit-exact comparison (covers -0.0 vs 0.0).
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]),
-              std::bit_cast<std::uint32_t>(vals[i]));
-  }
-}
-
-TEST(FloatCodec, NanPreservedBitExact) {
-  const float nan1 = std::numeric_limits<float>::quiet_NaN();
-  const std::vector<float> vals{1.0f, nan1, 2.0f};
-  const auto back = decoded(floats_of(vals), vals.size());
-  EXPECT_EQ(std::bit_cast<std::uint32_t>(back[1]),
-            std::bit_cast<std::uint32_t>(nan1));
-}
-
-class FloatCodecSweep : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(FloatCodecSweep, RandomStreamsRoundTripLosslessly) {
-  std::mt19937 rng(GetParam());
-  std::normal_distribution<float> dist(0.0f, 2.0f);
-  std::vector<float> vals(1537);
-  for (float& v : vals) v = dist(rng);
-  const auto bytes = floats_of(vals);
-  const auto back = decoded(bytes, vals.size());
-  ASSERT_EQ(back.size(), vals.size());
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]),
-              std::bit_cast<std::uint32_t>(vals[i]));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FloatCodecSweep, ::testing::Range(1u, 9u));
-
-TEST(FloatCodec, CorrelatedStreamCompresses) {
-  // Slowly-varying values (like a trained model's parameter vector) share
-  // sign/exponent bits, so the XOR predictor shortens them.
-  std::vector<float> vals(4096);
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    vals[i] = 0.5f + 1e-4f * static_cast<float>(i % 97);
-  }
-  const auto bytes = floats_of(vals);
-  EXPECT_LT(bytes.size(), vals.size() * 4 * 8 / 10);  // >= 20% saving
-  EXPECT_EQ(decoded(bytes, vals.size()), vals);
-}
-
-TEST(FloatCodec, SizeEstimatorMatches) {
-  std::mt19937 rng(21);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  std::vector<float> vals(777);
-  for (float& v : vals) v = dist(rng);
-  EXPECT_EQ(compressed_floats_size(vals), floats_of(vals).size());
-}
 
 // --------------------------------------------------------------------- topk
 

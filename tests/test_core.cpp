@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <random>
 #include <span>
+#include <string>
+#include <utility>
 
 #include "core/averaging.hpp"
 #include "core/cutoff.hpp"
@@ -225,13 +229,68 @@ TEST_P(PayloadParam, EncodeDecodeRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, PayloadParam,
     ::testing::Values(PayloadCase{IndexEncoding::kDense, ValueEncoding::kRaw},
-                      PayloadCase{IndexEncoding::kDense, ValueEncoding::kXorCodec},
                       PayloadCase{IndexEncoding::kEliasGamma, ValueEncoding::kRaw},
-                      PayloadCase{IndexEncoding::kEliasGamma, ValueEncoding::kXorCodec},
                       PayloadCase{IndexEncoding::kRaw, ValueEncoding::kRaw},
-                      PayloadCase{IndexEncoding::kRaw, ValueEncoding::kXorCodec},
-                      PayloadCase{IndexEncoding::kSeed, ValueEncoding::kRaw},
-                      PayloadCase{IndexEncoding::kSeed, ValueEncoding::kXorCodec}));
+                      PayloadCase{IndexEncoding::kSeed, ValueEncoding::kRaw}));
+
+// The value section: every payload carries its values as a u32 count plus
+// raw f32s. Round-trips `values` as a dense payload and checks that the
+// section costs exactly 4 bytes per value.
+std::vector<float> value_round_trip(std::span<const float> values) {
+  const PayloadView view(static_cast<std::uint32_t>(values.size()), {}, values);
+  const auto encoded = testutil::encode_body(
+      view, {IndexEncoding::kDense, ValueEncoding::kRaw, 0});
+  EXPECT_EQ(encoded.body.size(),
+            encoded.metadata_bytes + 4 + 4 * values.size());
+  return testutil::decode_body(encoded.body).values;
+}
+
+void expect_bit_identical(std::span<const float> back,
+                          std::span<const float> values) {
+  ASSERT_EQ(back.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    // Bit-exact comparison (covers -0.0 vs 0.0 and NaN payloads).
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]),
+              std::bit_cast<std::uint32_t>(values[i]));
+  }
+}
+
+TEST(FloatCodec, EmptyStream) {
+  EXPECT_TRUE(value_round_trip({}).empty());
+}
+
+TEST(FloatCodec, SingleValue) {
+  const std::vector<float> vals{3.14159f};
+  EXPECT_EQ(value_round_trip(vals), vals);
+}
+
+TEST(FloatCodec, SpecialValuesAreLossless) {
+  const std::vector<float> vals{
+      0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::denorm_min(),
+      std::numeric_limits<float>::max(), std::numeric_limits<float>::lowest(),
+      1e-38f, -1e38f};
+  expect_bit_identical(value_round_trip(vals), vals);
+}
+
+TEST(FloatCodec, NanPreservedBitExact) {
+  const std::vector<float> vals{1.0f, std::numeric_limits<float>::quiet_NaN(),
+                                2.0f};
+  expect_bit_identical(value_round_trip(vals), vals);
+}
+
+class FloatCodecSweep : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(FloatCodecSweep, RandomStreamsRoundTripLosslessly) {
+  std::mt19937 rng(GetParam());
+  std::normal_distribution<float> dist(0.0f, 2.0f);
+  std::vector<float> vals(1537);
+  for (float& v : vals) v = dist(rng);
+  expect_bit_identical(value_round_trip(vals), vals);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FloatCodecSweep, ::testing::Range(1u, 9u));
 
 TEST(Payload, EliasMetadataMuchSmallerThanRaw) {
   SparsePayload payload;
@@ -283,22 +342,30 @@ TEST(Payload, TruncatedBodyThrows) {
   EXPECT_THROW(testutil::decode_body(cut), std::exception);
 }
 
-/// A 15-byte body claiming 0xFFFFFFF0 entries in a 1-byte blob.
+/// A 15-byte body claiming 0xFFFFFFF0 entries: under kEliasGamma the count
+/// meets a 1-byte index blob; under kDense the raw value array's length
+/// prefix claims as many floats with one byte behind it.
 std::vector<std::uint8_t> oversized_count_body(IndexEncoding index_mode) {
   net::ByteWriter writer;
   writer.write_u8(static_cast<std::uint8_t>(index_mode));
-  writer.write_u8(static_cast<std::uint8_t>(ValueEncoding::kXorCodec));
+  writer.write_u8(static_cast<std::uint8_t>(ValueEncoding::kRaw));
   writer.write_u32(0xFFFFFFF0u);  // vector_length (dense requires == count)
   writer.write_u32(0xFFFFFFF0u);  // count
-  const std::uint8_t blob[] = {0xFF};
-  writer.write_bytes(blob);
+  const std::uint8_t section[] = {0xFF};
+  if (index_mode == IndexEncoding::kDense) {
+    writer.write_u32(0xFFFFFFF0u);  // the value array's own length prefix
+    writer.write_u8(section[0]);
+  } else {
+    writer.write_bytes(section);
+  }
   return std::move(writer).take();
 }
 
 TEST(Payload, OversizedCountThrowsBeforeAllocatingOnBothTiers) {
-  // No valid stream has more entries than its blob has bits, so both the
-  // Elias-gamma index blob and the dense XOR-codec value blob must reject
-  // the count cleanly instead of reserving ~16 GiB.
+  // No valid stream has more entries than its section has bytes (or, for
+  // Elias gamma, bits), so both the index blob and the dense value array
+  // must reject the count cleanly instead of reserving ~16 GiB. The raw
+  // array is refused by ByteReader's length check (std::out_of_range).
   for (const KernelTier tier : {KernelTier::kScalar, KernelTier::kFast}) {
     KernelDispatch::ScopedForce forced(tier);
     for (const IndexEncoding mode :
@@ -307,12 +374,51 @@ TEST(Payload, OversizedCountThrowsBeforeAllocatingOnBothTiers) {
       ASSERT_EQ(body.size(), 15u);
       SparsePayload out;
       Arena arena;
-      EXPECT_THROW(decode_payload_into(body, out, arena), std::runtime_error)
-          << "index mode " << static_cast<int>(mode) << ", tier "
-          << static_cast<int>(tier);
+      if (mode == IndexEncoding::kDense) {
+        EXPECT_THROW(decode_payload_into(body, out, arena), std::out_of_range)
+            << "tier " << static_cast<int>(tier);
+      } else {
+        EXPECT_THROW(decode_payload_into(body, out, arena), std::runtime_error)
+            << "tier " << static_cast<int>(tier);
+      }
+      EXPECT_EQ(out.indices.capacity(), 0u);  // nothing was resized
+      EXPECT_EQ(out.values.capacity(), 0u);
     }
   }
 }
+
+// The two mode bytes are checked before any section is read: an unknown
+// index mode, or any value mode but kRaw (0 is the retired XOR codec's
+// tag), is refused even when the rest of the body is a valid payload.
+using ModeTags = std::pair<std::uint8_t, std::uint8_t>;  // (index, value)
+
+class PayloadModeTag : public ::testing::TestWithParam<ModeTags> {};
+
+TEST_P(PayloadModeTag, UnknownTagIsRejected) {
+  const auto [index_tag, value_tag] = GetParam();
+  SparsePayload payload;
+  payload.vector_length = 10;
+  payload.indices = {1, 5};
+  payload.values = {1.0f, 2.0f};
+  const PayloadOptions options{IndexEncoding::kRaw, ValueEncoding::kRaw, 0};
+  std::vector<std::uint8_t> body = testutil::encode_body(payload, options).body;
+  EXPECT_EQ(testutil::decode_body(body).values, payload.values);
+  body[0] = index_tag;
+  body[1] = value_tag;
+  SparsePayload out;
+  Arena arena;
+  EXPECT_THROW(decode_payload_into(body, out, arena), std::runtime_error);
+  EXPECT_EQ(out.vector_length, 0u);  // refused before the length is read
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tags, PayloadModeTag,
+    ::testing::Values(ModeTags{4, 1}, ModeTags{0xFF, 1}, ModeTags{2, 0},
+                      ModeTags{2, 2}, ModeTags{2, 0xFF}, ModeTags{4, 0}),
+    [](const ::testing::TestParamInfo<ModeTags>& info) {
+      return "index" + std::to_string(info.param.first) + "_value" +
+             std::to_string(info.param.second);
+    });
 
 TEST(Payload, EmptySparsePayloadIsANoOpContribution) {
   // A sparse payload with zero entries is a valid message (18 bytes, or 22
@@ -327,46 +433,44 @@ TEST(Payload, EmptySparsePayloadIsANoOpContribution) {
   core::SparsePayload full;
   full.vector_length = kLength;
   full.values.assign(kLength, 99.0f);
-  const auto full_body =
-      testutil::encode_body(full, {IndexEncoding::kDense, {}, 0}).body;
+  const PayloadOptions dense{IndexEncoding::kDense, ValueEncoding::kRaw, 0};
+  const auto full_body = testutil::encode_body(full, dense).body;
   // Refilled by std::copy, not copy-assigned: GCC 12 at -O2 reports a
   // -Wstringop-overflow false positive on the vector copy here.
   std::vector<float> own(kLength);
 
   for (const IndexEncoding mode : {IndexEncoding::kEliasGamma,
                                    IndexEncoding::kRaw, IndexEncoding::kSeed}) {
-    for (const ValueEncoding values :
-         {ValueEncoding::kXorCodec, ValueEncoding::kRaw}) {
-      SparsePayload empty;
-      empty.vector_length = kLength;
-      const auto body = testutil::encode_body(empty, {mode, values, 7}).body;
-      EXPECT_EQ(body.size(), mode == IndexEncoding::kSeed ? 22u : 18u);
+    SparsePayload empty;
+    empty.vector_length = kLength;
+    const auto body =
+        testutil::encode_body(empty, {mode, ValueEncoding::kRaw, 7}).body;
+    EXPECT_EQ(body.size(), mode == IndexEncoding::kSeed ? 22u : 18u);
 
-      Arena arena;
-      PayloadPool pool;
-      decode_payload_into(full_body, pool.next(), arena);
-      pool.reset();
-      SparsePayload& recycled = pool.next();
-      decode_payload_into(body, recycled, arena);
-      SparsePayload fresh = testutil::decode_body(body);
-      for (const SparsePayload* decoded : {&fresh, &recycled}) {
-        EXPECT_FALSE(decoded->dense());
-        EXPECT_TRUE(decoded->indices.empty());
-        EXPECT_TRUE(decoded->values.empty());
-        const std::vector<WeightedContribution> contribs{{0.5, decoded}};
+    Arena arena;
+    PayloadPool pool;
+    decode_payload_into(full_body, pool.next(), arena);
+    pool.reset();
+    SparsePayload& recycled = pool.next();
+    decode_payload_into(body, recycled, arena);
+    SparsePayload fresh = testutil::decode_body(body);
+    for (const SparsePayload* decoded : {&fresh, &recycled}) {
+      EXPECT_FALSE(decoded->dense());
+      EXPECT_TRUE(decoded->indices.empty());
+      EXPECT_TRUE(decoded->values.empty());
+      const std::vector<WeightedContribution> contribs{{0.5, decoded}};
+      std::copy(model.begin(), model.end(), own.begin());
+      partial_average(own, 0.5, contribs, arena);
+      EXPECT_EQ(own, model) << "index mode " << static_cast<int>(mode);
+      for (const RobustAggKind kind :
+           {RobustAggKind::kNone, RobustAggKind::kTrimmedMean,
+            RobustAggKind::kMedian, RobustAggKind::kNormClip}) {
+        RobustAggConfig cfg;
+        cfg.kind = kind;
         std::copy(model.begin(), model.end(), own.begin());
-        partial_average(own, 0.5, contribs, arena);
-        EXPECT_EQ(own, model) << "index mode " << static_cast<int>(mode);
-        for (const RobustAggKind kind :
-             {RobustAggKind::kNone, RobustAggKind::kTrimmedMean,
-              RobustAggKind::kMedian, RobustAggKind::kNormClip}) {
-          RobustAggConfig cfg;
-          cfg.kind = kind;
-          std::copy(model.begin(), model.end(), own.begin());
-          robust_partial_average(cfg, own, 0.5, contribs, arena);
-          EXPECT_EQ(own, model) << "index mode " << static_cast<int>(mode)
-                                << ", rule " << robust_agg_name(kind);
-        }
+        robust_partial_average(cfg, own, 0.5, contribs, arena);
+        EXPECT_EQ(own, model) << "index mode " << static_cast<int>(mode)
+                              << ", rule " << robust_agg_name(kind);
       }
     }
   }

@@ -693,6 +693,13 @@ TEST(EventEngineBounded, PermanentCrashDoesNotDeadlock) {
 
 TEST(EventEngineBounded, HighLatencyProducesStaleMessages) {
   ExperimentConfig cfg = bounded_config(20, 1);
+  // JWINS, not full-sharing: with a fixed per-edge latency a message can
+  // only overtake the one sent before it on the same edge by being smaller
+  // (faster to transmit), and only an overtaken message can arrive behind
+  // its receiver's staleness window. Full-sharing messages all have one
+  // size, so every edge delivers in order; JWINS's randomized cut-off
+  // varies the size from round to round.
+  cfg.algorithm = Algorithm::kJwins;
   cfg.compute_seconds_per_round = 0.005;
   cfg.time.latency_dist = {net::LinkDist::Kind::kUniform, 0.020, 0.080};
   auto exp = make_mini(cfg, 4);

@@ -1,8 +1,7 @@
 // Bit-identity harness for the vectorized kernel tiers (ISSUE 9 tentpole).
 //
 // Every fast kernel in core::KernelDispatch's families — DWT analyze /
-// synthesize, TopK bucket-select, blocked QSGD rounding, and the XOR float
-// codec block encoder — promises *byte-identical* output to its pinned
+// synthesize, TopK bucket-select and blocked QSGD rounding — promises *byte-identical* output to its pinned
 // scalar reference. These tests compare the raw output bytes (not
 // approximate values) across a size ladder that covers degenerate,
 // non-power-of-two, and large inputs, plus adversarial all-equal/all-zero
@@ -16,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "compress/bitstream.hpp"
-#include "compress/float_codec.hpp"
 #include "compress/quantize.hpp"
 #include "compress/topk.hpp"
 #include "core/kernel_dispatch.hpp"
@@ -40,7 +38,7 @@ std::vector<float> random_values(std::size_t n, unsigned seed) {
   return out;
 }
 
-// Adversarial variants: all-zero (degenerate norms, empty XOR residuals),
+// Adversarial variants: all-zero (degenerate norms),
 // all-equal (every TopK candidate tied), and alternating-sign equal
 // magnitude (ties with sign churn). All NaN-free by construction.
 std::vector<std::vector<float>> adversarial_inputs(std::size_t n,
@@ -159,27 +157,6 @@ TEST(KernelEquivalence, QsgdBitIdentical) {
         // Both tiers must also have consumed the same number of draws.
         EXPECT_EQ(rng_s(), rng_f()) << "RNG streams diverged";
       }
-    }
-  }
-}
-
-// --- XOR float codec ---------------------------------------------------
-
-TEST(KernelEquivalence, XorCodecBitIdentical) {
-  for (std::size_t n : kSizes) {
-    for (const auto& values : adversarial_inputs(n, 29)) {
-      compress::BitWriter w_s, w_f;
-      compress::compress_floats_scalar(values, w_s);
-      compress::compress_floats_fast(values, w_f);
-      ASSERT_EQ(w_s.bit_count(), w_f.bit_count()) << "n=" << n;
-      const auto bytes_s = std::move(w_s).finish();
-      const auto bytes_f = std::move(w_f).finish();
-      expect_bytes_equal(bytes_s, bytes_f, "encode n=" + std::to_string(n));
-      std::vector<float> dec_s, dec_f;
-      compress::decompress_floats_into_scalar(bytes_s, n, dec_s);
-      compress::decompress_floats_into_fast(bytes_s, n, dec_f);
-      expect_bytes_equal(dec_s, dec_f, "decode n=" + std::to_string(n));
-      expect_bytes_equal(dec_s, values, "roundtrip n=" + std::to_string(n));
     }
   }
 }

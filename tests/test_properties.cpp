@@ -8,7 +8,6 @@
 #include <random>
 #include <sstream>
 
-#include "compress/float_codec.hpp"
 #include "core/averaging.hpp"
 #include "core/kernel_dispatch.hpp"
 #include "compress/topk.hpp"
@@ -153,10 +152,14 @@ TEST_P(FloatCodecDistributions, LosslessAcrossValueDistributions) {
       break;
     }
   }
-  compress::BitWriter bytes;
-  compress::compress_floats(values, bytes);
-  std::vector<float> back;
-  compress::decompress_floats_into(bytes.bytes(), values.size(), back);
+  // Every payload's value section is raw f32s: send the draw as a dense
+  // payload and require every bit back.
+  core::PayloadOptions options;
+  options.index_encoding = core::IndexEncoding::kDense;
+  const core::PayloadView view(static_cast<std::uint32_t>(values.size()), {},
+                               values);
+  const std::vector<float> back =
+      testutil::decode_body(testutil::encode_body(view, options).body).values;
   ASSERT_EQ(back.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint32_t>(back[i]),
@@ -482,16 +485,12 @@ TEST(PayloadProperty, RandomSparsitiesRoundTripAllEncodings) {
     for (float& v : payload.values) v = dist(vrng);
     for (const auto index_mode :
          {core::IndexEncoding::kEliasGamma, core::IndexEncoding::kRaw}) {
-      for (const auto value_mode :
-           {core::ValueEncoding::kXorCodec, core::ValueEncoding::kRaw}) {
-        core::PayloadOptions options;
-        options.index_encoding = index_mode;
-        options.value_encoding = value_mode;
-        const auto encoded = testutil::encode_body(payload, options);
-        const auto back = testutil::decode_body(encoded.body);
-        EXPECT_EQ(back.indices, payload.indices);
-        EXPECT_EQ(back.values, payload.values);
-      }
+      core::PayloadOptions options;
+      options.index_encoding = index_mode;
+      const auto encoded = testutil::encode_body(payload, options);
+      const auto back = testutil::decode_body(encoded.body);
+      EXPECT_EQ(back.indices, payload.indices);
+      EXPECT_EQ(back.values, payload.values);
     }
   }
 }

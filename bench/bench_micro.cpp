@@ -24,6 +24,7 @@
 #include <benchmark/benchmark.h>
 #endif
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -49,6 +50,7 @@
 #include "dwt/fft.hpp"
 #include "net/buffer.hpp"
 #include "net/serializer.hpp"
+#include "nn/conv.hpp"
 #include "nn/models.hpp"
 #include "nn/sgd.hpp"
 
@@ -314,6 +316,27 @@ std::vector<Kernel> build_kernels() {
     add("fft_real/16384/fresh", "dwt", [=] {
       auto spectrum = dwt::fft_real(*x);
       consume(spectrum.data());
+    });
+  }
+
+  // --- Conv2d: the fig5 CNN's two conv layers at the training batch -------
+  for (const auto [in_ch, out_ch, size] :
+       {std::array<std::size_t, 3>{3, 8, 8}, std::array<std::size_t, 3>{8, 16, 4}}) {
+    std::mt19937 rng(6);
+    auto layer = std::make_shared<nn::Conv2d>(in_ch, out_ch, 3, 1, 1, rng);
+    auto x = std::make_shared<tensor::Tensor>(
+        tensor::Tensor::normal({16, in_ch, size, size}, 0.0f, 1.0f, rng));
+    const std::string shape = "16x" + std::to_string(in_ch) + "x" +
+                              std::to_string(size) + "x" + std::to_string(size);
+    add_tiered("conv2d_forward/" + shape + "/scratch", "train", [=] {
+      const tensor::Tensor y = layer->forward(*x);
+      consume(y.raw());
+    });
+    auto grad = std::make_shared<tensor::Tensor>(tensor::Tensor::normal(
+        layer->forward(*x).shape(), 0.0f, 1.0f, rng));
+    add_tiered("conv2d_backward/" + shape + "/scratch", "train", [=] {
+      const tensor::Tensor gx = layer->backward(*grad);
+      consume(gx.raw());
     });
   }
 

@@ -59,7 +59,9 @@ void topk_indices_into_scalar(std::span<const float> values, std::size_t k,
 // Starts on a cache-line (64-byte) boundary so the position of its loops
 // relative to instruction-fetch blocks does not move when unrelated code
 // linked before it changes size: a 16-byte shift measured ~10% slower on a
-// Xeon host.
+// Xeon host. It is the only function pinned so: nn::Conv2d's passes were
+// pinned while they were direct loops, and alternating fig5_cifar_jwins
+// runs of the channel-vectorized passes showed no gain from the pin.
 [[gnu::aligned(64)]] void topk_indices_into_fast(
     std::span<const float> values, std::size_t k,
     std::vector<std::uint32_t>& out) {

@@ -1,5 +1,5 @@
 // Runtime selection between the pinned scalar reference kernels and their
-// vectorized fast paths (dwt, topk, qsgd).
+// vectorized fast paths (dwt, topk, qsgd, and nn::Conv2d forward/backward).
 //
 // Both tiers are bit-identical by contract — the fast paths restructure loops
 // without changing any floating-point operation order per output element —

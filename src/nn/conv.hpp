@@ -5,12 +5,19 @@
 #pragma once
 
 #include <random>
+#include <vector>
 
 #include "nn/module.hpp"
 
 namespace jwins::nn {
 
 /// 2-D convolution over [B, C, H, W] with square kernels.
+///
+/// forward() and backward() dispatch per core::KernelDispatch between the
+/// direct loops (the pinned scalar reference) and a fast tier that
+/// vectorizes across channels. The tiers are bit-identical: every output
+/// element is the same floating-point sum in the same order
+/// (docs/PERFORMANCE.md, "Kernel dispatch & vectorization").
 class Conv2d final : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
@@ -23,11 +30,28 @@ class Conv2d final : public Module {
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
 
  private:
+  void forward_scalar(const Tensor& input, Tensor& out) const;
+  void forward_fast(const Tensor& input, Tensor& out);
+  void backward_scalar(const Tensor& grad_output, Tensor& grad_input);
+  void backward_fast(const Tensor& grad_output, Tensor& grad_input);
+
   std::size_t in_ch_, out_ch_, kernel_, stride_, pad_;
   Tensor weight_;  // [out_ch, in_ch, k, k]
   Tensor bias_;    // [out_ch]
   Tensor grad_weight_, grad_bias_;
   Tensor cached_input_;
+  // Fast-tier scratch, reused so steady-state calls do not allocate. Channel
+  // counts are padded to the lane block; padded lanes hold zeros.
+  struct TapOffsets {
+    std::size_t x, w;  // offsets into the input and the transposed operand
+  };
+  std::vector<TapOffsets> taps_;       // one position's taps / each tap's positions
+  std::vector<std::size_t> tap_start_;  // where each tap's positions start
+  std::vector<double> fwd_weight_;     // weight_ as [ic·k·k][oc]
+  std::vector<float> bwd_weight_;      // weight_ as [oc][k·k][ic]
+  std::vector<float> grad_weight_t_;   // grad_weight_ as [ic·k·k][oc]
+  std::vector<float> grad_out_t_;      // one sample's grad_output as [r·c][oc]
+  std::vector<float> grad_in_t_;       // one sample's grad_input as [h·w][ic]
 };
 
 /// Max pooling over [B, C, H, W]; remembers argmax positions for backward.

@@ -28,8 +28,10 @@ Tensor Linear::forward(const Tensor& input) {
   Tensor out({input.dim(0), out_});
   tensor::matmul_nt_into(out, input, weight_);
   const std::size_t batch = input.dim(0);
+  float* y = out.raw();
+  const float* bias = bias_.raw();
   for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t o = 0; o < out_; ++o) out[b * out_ + o] += bias_[o];
+    for (std::size_t o = 0; o < out_; ++o) y[b * out_ + o] += bias[o];
   }
   return out;
 }
@@ -43,10 +45,10 @@ Tensor Linear::backward(const Tensor& grad_output) {
   // dW += dYᵀ · X ; db += column sums of dY ; dX = dY · W.
   tensor::matmul_tn_into(grad_weight_tmp_, grad_output, cached_input_);
   grad_weight_ += grad_weight_tmp_;
+  const float* gy = grad_output.raw();
+  float* gb = grad_bias_.raw();
   for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t o = 0; o < out_; ++o) {
-      grad_bias_[o] += grad_output[b * out_ + o];
-    }
+    for (std::size_t o = 0; o < out_; ++o) gb[o] += gy[b * out_ + o];
   }
   Tensor grad_input({batch, in_});
   tensor::matmul_into(grad_input, grad_output, weight_);
@@ -56,8 +58,9 @@ Tensor Linear::backward(const Tensor& grad_output) {
 Tensor ReLU::forward(const Tensor& input) {
   cached_input_ = input;
   Tensor out = input;
+  float* y = out.raw();
   for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i] < 0.0f) out[i] = 0.0f;
+    if (y[i] < 0.0f) y[i] = 0.0f;
   }
   return out;
 }
@@ -67,8 +70,10 @@ Tensor ReLU::backward(const Tensor& grad_output) {
     throw std::invalid_argument("ReLU::backward: grad shape mismatch");
   }
   Tensor gin = grad_output;
+  const float* x = cached_input_.raw();
+  float* g = gin.raw();
   for (std::size_t i = 0; i < gin.size(); ++i) {
-    if (cached_input_[i] <= 0.0f) gin[i] = 0.0f;
+    if (x[i] <= 0.0f) g[i] = 0.0f;
   }
   return gin;
 }

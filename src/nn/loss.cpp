@@ -36,15 +36,17 @@ LossResult softmax_cross_entropy(const Tensor& logits,
   Tensor probs = softmax(logits);
   double loss = 0.0;
   Tensor grad = probs;
+  const float* pr = probs.raw();
+  float* g = grad.raw();
   const float scale = 1.0f / static_cast<float>(batch);
   for (std::size_t b = 0; b < batch; ++b) {
     const auto y = static_cast<std::size_t>(labels[b]);
     if (y >= classes) {
       throw std::out_of_range("softmax_cross_entropy: label out of range");
     }
-    const float p = std::max(probs[b * classes + y], 1e-12f);
+    const float p = std::max(pr[b * classes + y], 1e-12f);
     loss -= std::log(p);
-    grad[b * classes + y] -= 1.0f;
+    g[b * classes + y] -= 1.0f;
   }
   grad *= scale;
   return {static_cast<float>(loss / static_cast<double>(batch)), std::move(grad)};
@@ -58,10 +60,13 @@ LossResult mse_loss(const Tensor& predictions, const Tensor& targets) {
   Tensor grad(predictions.shape());
   double loss = 0.0;
   const float scale = 2.0f / static_cast<float>(n);
+  const float* pred = predictions.raw();
+  const float* target = targets.raw();
+  float* g = grad.raw();
   for (std::size_t i = 0; i < n; ++i) {
-    const float d = predictions[i] - targets[i];
+    const float d = pred[i] - target[i];
     loss += static_cast<double>(d) * d;
-    grad[i] = scale * d;
+    g[i] = scale * d;
   }
   return {static_cast<float>(loss / static_cast<double>(n)), std::move(grad)};
 }

@@ -60,15 +60,20 @@ class Sequential final : public Module {
     return *this;
   }
 
+  // The first layer reads the argument itself, so no copy of it is made.
   Tensor forward(const Tensor& input) override {
-    Tensor x = input;
-    for (auto& layer : layers_) x = layer->forward(x);
+    if (layers_.empty()) return input;
+    Tensor x = layers_.front()->forward(input);
+    for (auto it = layers_.begin() + 1; it != layers_.end(); ++it) {
+      x = (*it)->forward(x);
+    }
     return x;
   }
 
   Tensor backward(const Tensor& grad_output) override {
-    Tensor g = grad_output;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+    if (layers_.empty()) return grad_output;
+    Tensor g = layers_.back()->backward(grad_output);
+    for (auto it = layers_.rbegin() + 1; it != layers_.rend(); ++it) {
       g = (*it)->backward(g);
     }
     return g;

@@ -1,13 +1,15 @@
 // Bit-identity harness for the vectorized kernel tiers (ISSUE 9 tentpole).
 //
 // Every fast kernel in core::KernelDispatch's families — DWT analyze /
-// synthesize, TopK bucket-select and blocked QSGD rounding — promises *byte-identical* output to its pinned
+// synthesize, TopK bucket-select, blocked QSGD rounding and the Conv2d
+// forward/backward passes — promises *byte-identical* output to its pinned
 // scalar reference. These tests compare the raw output bytes (not
 // approximate values) across a size ladder that covers degenerate,
 // non-power-of-two, and large inputs, plus adversarial all-equal/all-zero
 // vectors and a 200-seed tie-heavy TopK sweep.
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <span>
 #include <vector>
@@ -20,6 +22,8 @@
 #include "core/kernel_dispatch.hpp"
 #include "dwt/dwt.hpp"
 #include "dwt/wavelet.hpp"
+#include "nn/conv.hpp"
+#include "tensor/tensor.hpp"
 
 namespace {
 
@@ -158,6 +162,94 @@ TEST(KernelEquivalence, QsgdBitIdentical) {
         EXPECT_EQ(rng_s(), rng_f()) << "RNG streams diverged";
       }
     }
+  }
+}
+
+// --- Conv2d ------------------------------------------------------------
+
+struct ConvShape {
+  std::size_t in_ch, out_ch, kernel, stride, pad, size, batch;
+};
+
+std::string describe(const ConvShape& s) {
+  return std::to_string(s.in_ch) + "->" + std::to_string(s.out_ch) + " k" +
+         std::to_string(s.kernel) + " s" + std::to_string(s.stride) + " p" +
+         std::to_string(s.pad) + " " + std::to_string(s.size) + "x" +
+         std::to_string(s.size) + " b" + std::to_string(s.batch);
+}
+
+// The GradCheck shapes of test_nn_layers.cpp (stride 2; k5 p2; k1 p0), the
+// two conv layers of the fig5 CNN at the training and evaluation batch,
+// images smaller than kernel + padding, and a padding as wide as the kernel
+// (border outputs see no valid tap and are the bias alone).
+const std::vector<ConvShape> kConvShapes = {
+    {1, 1, 3, 1, 1, 5, 2},   {2, 3, 3, 1, 1, 6, 3},   {3, 2, 3, 2, 1, 8, 2},
+    {1, 4, 5, 1, 2, 7, 3},   {2, 2, 1, 1, 0, 4, 2},   {3, 8, 3, 1, 1, 8, 16},
+    {8, 16, 3, 1, 1, 4, 16}, {3, 8, 3, 1, 1, 8, 192}, {8, 16, 3, 1, 1, 4, 192},
+    {2, 3, 5, 1, 2, 2, 3},   {2, 3, 5, 1, 2, 1, 1},   {2, 9, 3, 1, 3, 2, 3}};
+
+std::vector<float> bytes_of(const tensor::Tensor& t) {
+  return {t.raw(), t.raw() + t.size()};
+}
+
+// A random tensor whose first half has every fifth entry +0.0f and every
+// seventh -0.0f: zero g's whose terms the reference skips.
+tensor::Tensor with_zeros(const tensor::Shape& shape, std::mt19937& rng) {
+  tensor::Tensor t = tensor::Tensor::normal(shape, 0.0f, 1.0f, rng);
+  for (std::size_t i = 0; i < t.size() / 2; ++i) {
+    if (i % 5 == 0) t.raw()[i] = 0.0f;
+    if (i % 7 == 0) t.raw()[i] = -0.0f;
+  }
+  return t;
+}
+
+struct ConvRun {
+  std::vector<float> y, grad_input, grad_weight, grad_bias;
+};
+
+// Runs `backward_calls` forward/backward pairs (no zero_grad in between, so
+// the parameter gradients accumulate) on a layer built from a fixed seed,
+// under `tier`. With backward_calls == 0 it runs forward only.
+ConvRun run_conv(core::KernelTier tier, const ConvShape& s, int backward_calls) {
+  core::KernelDispatch::ScopedForce forced(tier);
+  std::mt19937 rng(41);
+  nn::Conv2d layer(s.in_ch, s.out_ch, s.kernel, s.stride, s.pad, rng);
+  layer.params()[1]->raw()[0] = -0.0f;  // a -0.0f bias must survive forward
+  tensor::Tensor x = with_zeros({s.batch, s.in_ch, s.size, s.size}, rng);
+  // An infinite input read under zero g's: the reference skips those terms,
+  // so a fast tier that formed 0·inf = NaN in their lanes would differ.
+  x.raw()[x.size() > 1 ? 1 : 0] = std::numeric_limits<float>::infinity();
+  ConvRun run;
+  const tensor::Tensor y = layer.forward(x);
+  run.y = bytes_of(y);
+  for (int call = 0; call < backward_calls; ++call) {
+    if (call > 0) layer.forward(x);
+    const tensor::Tensor gx = layer.backward(with_zeros(y.shape(), rng));
+    run.grad_input = bytes_of(gx);
+  }
+  run.grad_weight = bytes_of(*layer.grads()[0]);
+  run.grad_bias = bytes_of(*layer.grads()[1]);
+  return run;
+}
+
+TEST(KernelEquivalence, Conv2dForwardBitIdentical) {
+  for (const ConvShape& s : kConvShapes) {
+    const ConvRun scalar = run_conv(core::KernelTier::kScalar, s, 0);
+    const ConvRun fast = run_conv(core::KernelTier::kFast, s, 0);
+    expect_bytes_equal(scalar.y, fast.y, "y " + describe(s));
+  }
+}
+
+TEST(KernelEquivalence, Conv2dBackwardBitIdentical) {
+  for (const ConvShape& s : kConvShapes) {
+    const ConvRun scalar = run_conv(core::KernelTier::kScalar, s, 2);
+    const ConvRun fast = run_conv(core::KernelTier::kFast, s, 2);
+    expect_bytes_equal(scalar.grad_input, fast.grad_input,
+                       "grad_input " + describe(s));
+    expect_bytes_equal(scalar.grad_weight, fast.grad_weight,
+                       "grad_weight " + describe(s));
+    expect_bytes_equal(scalar.grad_bias, fast.grad_bias,
+                       "grad_bias " + describe(s));
   }
 }
 
